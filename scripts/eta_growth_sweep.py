@@ -1,57 +1,36 @@
 #!/usr/bin/env python3
-"""Print level-by-level eta sizes for the bundled tower fixtures.
+"""Print level-by-level eta sizes for a tower spec document.
 
 Shows the split the stabilization certificate formalizes: members of K hold
 a constant eta size once born, everything else keeps growing with the level.
 """
 
 import argparse
+from pathlib import Path
 
-from rootsets.constructions import heisenberg
-from rootsets.kernel import center
-from rootsets.towers import (
-    PruferTower,
-    QuaternionTower,
-    QuotientTower,
-    T1Tower,
-    example_t2_tower,
-    k_estimate,
-)
+from rootsets.cli import build_tower, parse_spec
+from rootsets.towers import DEFAULT_WINDOW, k_estimate
 
-
-def build_tower(name):
-    if name == "prufer":
-        return PruferTower(2)
-    if name == "quaternion":
-        return QuaternionTower()
-    if name == "t1-heis":
-        H = heisenberg(3)
-        a_gen = next(g for g in center(H) if g != 0)
-        return T1Tower(H, 3, a_gen, label="heis27")
-    if name == "t2-example":
-        return example_t2_tower()
-    if name == "quotient":
-        return QuotientTower(QuaternionTower(), ["1/2"])
-    raise ValueError(name)
+DEFAULT_SPEC = Path(__file__).resolve().parent.parent / "specs" / "quat.json"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tower", default="quaternion",
-                        choices=["prufer", "quaternion", "t1-heis",
-                                 "t2-example", "quotient"])
+    parser.add_argument("spec", nargs="?", default=str(DEFAULT_SPEC),
+                        help="path to a tower spec document (default: specs/quat.json)")
     parser.add_argument("--max-level", type=int, default=6)
-    parser.add_argument("--window", type=int, default=2)
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--limit", type=int, default=12,
                         help="how many elements of each class to print")
     args = parser.parse_args()
 
-    tower = build_tower(args.tower)
+    path = Path(args.spec)
+    tower = build_tower(parse_spec(path.read_text(encoding="utf-8"), path.parent), path.parent)
     rep = k_estimate(tower, max_level=args.max_level, window=args.window)
     levels = sorted({pl.level for r in rep.eta_reports.values()
                      for pl in r.per_level})
     header = "element".ljust(14) + "".join(f"L{k}".rjust(8) for k in levels)
-    print(f"tower={args.tower}  kind={rep.tower_kind}  "
+    print(f"tower={path.stem}  kind={rep.tower_kind}  "
           f"birth-level={rep.birth_level}  window={rep.window}")
     print(header)
     print("-" * len(header))

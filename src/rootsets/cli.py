@@ -10,12 +10,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .catalog import cyclic
 from .constructions import (
+    TREE_TABLE_DEPTH,
     CocycleTable,
     central_extension,
     heisenberg,
@@ -36,16 +38,19 @@ from .eta import (
 )
 from .kernel import (
     GroupError,
-    InvalidElementError,
     closure,
     direct_product,
     dumps_table,
+    is_prime,
     load_table,
     quotient,
     validate_automorphism,
 )
-from .report import PASS
+from .report import FAIL, PASS, Assertion
 from .towers import (
+    DEFAULT_BIRTH_CAP,
+    DEFAULT_MAX_LEVEL,
+    DEFAULT_WINDOW,
     PruferTower,
     QuaternionTower,
     QuotientTower,
@@ -55,11 +60,6 @@ from .towers import (
     inversion_recipe,
     k_estimate,
 )
-
-GROUP_KINDS = {"table", "cyclic", "direct_product", "heisenberg",
-               "cocycle_extension", "tree_vw", "quotient"}
-TOWER_KINDS = {"prufer_tower", "t1_tower", "t2_tower", "quaternion_tower",
-               "quotient_tower"}
 
 
 class SpecError(Exception):
@@ -73,6 +73,7 @@ class GroupSpecDocument:
     kind: str
     params: dict
     label: str = None
+    values: dict = field(default_factory=dict, repr=False)  # checked fields, children parsed
 
     def to_json(self):
         doc = {"kind": self.kind, **self.params}
@@ -81,8 +82,126 @@ class GroupSpecDocument:
         return doc
 
 
-def _is_prime(p):
-    return isinstance(p, int) and p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+# ---------------------------------------------------------------------------
+# spec-kind registry.  A field check takes (value, base_dir) and returns None
+# when the value is fine, else the message reported after the field's path.
+
+def _is_int(v):
+    return type(v) is int  # JSON true/false are bools, not integers
+
+
+def _expect(ok, what):
+    return lambda v, base_dir: None if ok(v) else f"{what} (got {v!r})"
+
+
+_POSITIVE = _expect(lambda v: _is_int(v) and v >= 1, "expected an integer >= 1")
+_PRIME = _expect(lambda v: _is_int(v) and is_prime(v), "expected a prime")
+_NAME = _expect(lambda v: isinstance(v, str), "expected an element name")
+_NAMES = _expect(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                 "expected a list of element names")
+_MATRIX = _expect(lambda v: isinstance(v, list) and all(
+    isinstance(r, list) and len(r) == len(v[0]) and all(map(_is_int, r)) for r in v),
+    "expected a matrix of rows")
+_DEPTH = _expect(lambda v: _is_int(v) and 1 <= v <= 4, "expected depth 1..4")
+
+
+def _table_path(v, base_dir):
+    if not isinstance(v, str):
+        return f"expected a file path (got {v!r})"
+    if not (base_dir / v).is_file():
+        return f"file not found: {v}"
+
+
+def _odd_prime(v, base_dir):
+    return _PRIME(v, base_dir) or (
+        "must be odd (no nonabelian exponent-2 group)" if v == 2 else None)
+
+
+def _fraction(text):
+    """'num/den' or 'num' as (num, den) with den >= 1, else None."""
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    return (num, den) if den >= 1 else None
+
+
+def _alpha(v, base_dir):
+    if v == "inversion":
+        return None
+    if not isinstance(v, dict):
+        return "expected \"inversion\" or a recipe object"
+    for rep, entry in v.items():
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, str) for x in entry) and _fraction(entry[1])):
+            return f"entry {rep!r}: expected [name, \"num/den\"] with den >= 1 (got {entry!r})"
+
+
+@dataclass(frozen=True)
+class Child:
+    """A field holding a nested document, built before its parent.
+
+    A tower child must have one of ``kinds`` (default: any tower kind), which
+    parsing checks; a finite-group child that is a tower fails when built.
+    """
+
+    tower: bool
+    kinds: tuple = ()
+    message: str = "must be a tower document"
+
+
+_GROUP = Child(tower=False)
+
+
+def _tree_vw(depth, **_):
+    if depth > TREE_TABLE_DEPTH:
+        raise SpecError([f"tree_vw depth {depth} is a multiplication oracle with no Cayley "
+                         f"table; only omega1-census accepts depth > {TREE_TABLE_DEPTH}"])
+    return tree_vw_group(depth)
+
+
+def _t2(base, y, m, alpha, label, **_):
+    recipe = inversion_recipe(base) if alpha == "inversion" else {
+        rep: (tgt, _fraction(frac)) for rep, (tgt, frac) in alpha.items()}
+    return T2Tower(base, y, m, recipe, label=label)
+
+
+@dataclass(frozen=True)
+class SpecKind:
+    tower: bool
+    fields: dict  # name -> check or Child, in the order errors are reported
+    build: Callable  # called with the fields (children built), label and base_dir
+
+
+KINDS = {
+    "table": SpecKind(False, {"path": _table_path},
+                      lambda path, base_dir, **_: load_table(base_dir / path)),
+    "cyclic": SpecKind(False, {"n": _POSITIVE}, lambda n, **_: cyclic(n)),
+    "direct_product": SpecKind(False, {"left": _GROUP, "right": _GROUP},
+                               lambda left, right, **_: direct_product(left, right)),
+    "heisenberg": SpecKind(False, {"p": _odd_prime}, lambda p, **_: heisenberg(p)),
+    "cocycle_extension": SpecKind(
+        False, {"base": _GROUP, "p": _PRIME, "w": _MATRIX},
+        lambda base, p, w, **_: central_extension(CocycleTable.of(base, p, w))),
+    "tree_vw": SpecKind(False, {"depth": _DEPTH}, _tree_vw),
+    "quotient": SpecKind(
+        False, {"group": _GROUP, "normal": _NAMES},
+        lambda group, normal, **_: quotient(
+            group, closure(group, [group.id_of(nm) for nm in normal]))[0]),
+    "prufer_tower": SpecKind(True, {"p": _PRIME}, lambda p, **_: PruferTower(p)),
+    "t1_tower": SpecKind(
+        True, {"H": _GROUP, "p": _PRIME, "a_gen": _NAME},
+        lambda H, p, a_gen, label, **_: T1Tower(H, p, H.id_of(a_gen), label=label)),
+    "t2_tower": SpecKind(
+        True, {"base": Child(True, ("t1_tower", "prufer_tower"),
+                             "must be a t1_tower or prufer_tower"),
+               "y": _NAME, "m": _POSITIVE, "alpha": _alpha}, _t2),
+    "quaternion_tower": SpecKind(True, {}, lambda **_: QuaternionTower()),
+    "quotient_tower": SpecKind(
+        True, {"base": Child(tower=True), "normal": _NAMES},
+        lambda base, normal, label, **_: QuotientTower(base, normal, label=label)),
+}
 
 
 def _validate(doc, errors, base_dir, path="spec"):
@@ -90,91 +209,25 @@ def _validate(doc, errors, base_dir, path="spec"):
         errors.append(f"{path}: expected an object")
         return None
     kind = doc.get("kind")
-    if kind not in GROUP_KINDS | TOWER_KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         errors.append(f"{path}: unknown kind {kind!r}")
         return None
     params = {k: v for k, v in doc.items() if k not in ("kind", "label")}
-    label = doc.get("label")
-
-    def need(key, check, message):
+    values = {}
+    for key, check in KINDS[kind].fields.items():
+        where, v = f"{path}.{key}", params.get(key)
         if key not in params:
-            errors.append(f"{path}.{key}: missing")
-            return None
-        if not check(params[key]):
-            errors.append(f"{path}.{key}: {message} (got {params[key]!r})")
-            return None
-        return params[key]
-
-    if kind == "table":
-        p = need("path", lambda v: isinstance(v, str), "expected a file path")
-        if p is not None and not (base_dir / p).is_file():
-            errors.append(f"{path}.path: file not found: {p}")
-    elif kind == "cyclic":
-        need("n", lambda v: isinstance(v, int) and v >= 1, "expected an integer >= 1")
-    elif kind == "direct_product":
-        for side in ("left", "right"):
-            sub = params.get(side)
-            if sub is None:
-                errors.append(f"{path}.{side}: missing")
-            else:
-                _validate(sub, errors, base_dir, f"{path}.{side}")
-    elif kind == "heisenberg":
-        p = need("p", _is_prime, "expected a prime")
-        if p is not None and p == 2:
-            errors.append(f"{path}.p: must be odd (no nonabelian exponent-2 group)")
-    elif kind == "cocycle_extension":
-        if "base" in params:
-            _validate(params["base"], errors, base_dir, f"{path}.base")
+            errors.append(f"{where}: missing")
+        elif isinstance(check, Child):
+            values[key] = _validate(v, errors, base_dir, where)
+            if check.tower and isinstance(v, dict) and v.get("kind") not in (
+                    check.kinds or [k for k, s in KINDS.items() if s.tower]):
+                errors.append(f"{where}: {check.message}")
+        elif (problem := check(v, base_dir)) is not None:
+            errors.append(f"{where}: {problem}")
         else:
-            errors.append(f"{path}.base: missing")
-        need("p", _is_prime, "expected a prime")
-        need("w", lambda v: isinstance(v, list), "expected a matrix of rows")
-    elif kind == "tree_vw":
-        need("depth", lambda v: isinstance(v, int) and 1 <= v <= 4, "expected depth 1..4")
-    elif kind == "quotient":
-        if "group" in params:
-            _validate(params["group"], errors, base_dir, f"{path}.group")
-        else:
-            errors.append(f"{path}.group: missing")
-        need("normal", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-             "expected a list of element names")
-    elif kind == "prufer_tower":
-        need("p", _is_prime, "expected a prime")
-    elif kind == "t1_tower":
-        if "H" in params:
-            _validate(params["H"], errors, base_dir, f"{path}.H")
-        else:
-            errors.append(f"{path}.H: missing")
-        need("p", _is_prime, "expected a prime")
-        need("a_gen", lambda v: isinstance(v, str), "expected an element name")
-    elif kind == "t2_tower":
-        sub = params.get("base")
-        if sub is None:
-            errors.append(f"{path}.base: missing")
-        else:
-            _validate(sub, errors, base_dir, f"{path}.base")
-            if isinstance(sub, dict) and sub.get("kind") not in ("t1_tower", "prufer_tower"):
-                errors.append(f"{path}.base: must be a t1_tower or prufer_tower")
-        need("y", lambda v: isinstance(v, str), "expected an element name")
-        need("m", lambda v: isinstance(v, int) and v >= 1, "expected an integer >= 1")
-        alpha = params.get("alpha")
-        if alpha is None:
-            errors.append(f"{path}.alpha: missing")
-        elif alpha != "inversion" and not isinstance(alpha, dict):
-            errors.append(f"{path}.alpha: expected \"inversion\" or a recipe object")
-    elif kind == "quaternion_tower":
-        pass
-    elif kind == "quotient_tower":
-        sub = params.get("base")
-        if sub is None:
-            errors.append(f"{path}.base: missing")
-        else:
-            _validate(sub, errors, base_dir, f"{path}.base")
-            if isinstance(sub, dict) and sub.get("kind") not in TOWER_KINDS:
-                errors.append(f"{path}.base: must be a tower document")
-        need("normal", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-             "expected a list of element names")
-    return GroupSpecDocument(kind, params, label)
+            values[key] = v
+    return GroupSpecDocument(kind, params, doc.get("label"), values)
 
 
 def parse_spec(text, base_dir="."):
@@ -190,119 +243,73 @@ def parse_spec(text, base_dir="."):
     return parsed
 
 
-def _parse_fraction(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return int(num), int(den)
-    return int(text), 1
+def _kind(spec):
+    if spec is None:
+        raise SpecError(["this command needs a spec document"])
+    return KINDS[spec.kind]
+
+
+def _build(spec, base_dir, tower):
+    kind = _kind(spec)
+    if kind.tower != tower:
+        names = ("finite-group", "tower")
+        raise SpecError([f"{spec.kind} is a {names[kind.tower]} kind, "
+                         f"not a {names[tower]} kind"])
+    args = dict(spec.values)
+    for key, check in kind.fields.items():
+        if isinstance(check, Child):
+            args[key] = (build_tower if check.tower else build_group)(args[key], base_dir)
+    return kind.build(**args, label=spec.label or "", base_dir=Path(base_dir))
 
 
 def build_group(spec, base_dir="."):
-    base_dir = Path(base_dir)
-    kind, params = spec.kind, spec.params
-    if kind == "table":
-        return load_table(base_dir / params["path"])
-    if kind == "cyclic":
-        return cyclic(params["n"])
-    if kind == "direct_product":
-        left = build_group(_reparse(params["left"], base_dir), base_dir)
-        right = build_group(_reparse(params["right"], base_dir), base_dir)
-        return direct_product(left, right)
-    if kind == "heisenberg":
-        return heisenberg(params["p"])
-    if kind == "cocycle_extension":
-        base = build_group(_reparse(params["base"], base_dir), base_dir)
-        return central_extension(CocycleTable.of(base, params["p"], params["w"]))
-    if kind == "tree_vw":
-        return tree_vw_group(params["depth"])
-    if kind == "quotient":
-        G = build_group(_reparse(params["group"], base_dir), base_dir)
-        N = closure(G, [G.id_of(nm) for nm in params["normal"]])
-        return quotient(G, N)[0]
-    raise SpecError([f"{kind} is a tower kind, not a finite-group kind"])
+    return _build(spec, base_dir, tower=False)
 
 
 def build_tower(spec, base_dir="."):
-    base_dir = Path(base_dir)
-    kind, params = spec.kind, spec.params
-    if kind == "prufer_tower":
-        return PruferTower(params["p"])
-    if kind == "t1_tower":
-        H = build_group(_reparse(params["H"], base_dir), base_dir)
-        return T1Tower(H, params["p"], H.id_of(params["a_gen"]),
-                       label=spec.label or "")
-    if kind == "t2_tower":
-        base = build_tower(_reparse(params["base"], base_dir), base_dir)
-        alpha = params["alpha"]
-        if alpha == "inversion":
-            recipe = inversion_recipe(base)
-        else:
-            recipe = {rep: (tgt, _parse_fraction(frac))
-                      for rep, (tgt, frac) in alpha.items()}
-        return T2Tower(base, params["y"], params["m"], recipe,
-                       label=spec.label or "")
-    if kind == "quaternion_tower":
-        return QuaternionTower()
-    if kind == "quotient_tower":
-        base = build_tower(_reparse(params["base"], base_dir), base_dir)
-        return QuotientTower(base, params["normal"], label=spec.label or "")
-    raise SpecError([f"{kind} is a finite-group kind, not a tower kind"])
-
-
-def _reparse(doc, base_dir):
-    errors = []
-    parsed = _validate(doc, errors, Path(base_dir))
-    if errors:
-        raise SpecError(errors)
-    return parsed
+    return _build(spec, base_dir, tower=True)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_eta(spec, flags, base_dir):
+def _status(name, ok, witness=None):
+    """An assertion entry; the witness is reported only on failure."""
+    return Assertion(name, PASS if ok else FAIL, None if ok else witness).to_json()
+
+
+def _given(flags, *names):
+    """The named flags that were set; the rest take the towers.DEFAULT_* values."""
+    return {k: flags[k] for k in names if flags.get(k) is not None}
+
+
+def _cmd_eta(spec, flags, base_dir, spec_paths):
     element = flags.get("element")
     if not element:
         raise SpecError(["eta requires --element"])
-    assertions = []
-    if spec.kind in TOWER_KINDS:
-        tower = build_tower(spec, base_dir)
-        rep = eta_stabilized(tower, element,
-                             max_level=flags.get("max_level", 8),
-                             window=flags.get("window", 2))
-        assertions.append({"name": "eta-coherence", "status": PASS})
-        result = rep.to_json()
-    else:
-        G = build_group(spec, base_dir)
-        es = eta(G, G.id_of(element))
-        result = {"element": element, "size": len(es),
-                  "members": sorted(es.members.names())}
-        assertions.append({"name": "target-not-in-eta",
-                           "status": PASS if G.id_of(element) not in es else "fail"})
-    return result, assertions
+    if _kind(spec).tower:
+        rep = eta_stabilized(build_tower(spec, base_dir), element,
+                             **_given(flags, "max_level", "window"))
+        return rep.to_json(), [_status("eta-coherence", True)]
+    G = build_group(spec, base_dir)
+    es = eta(G, G.id_of(element))
+    result = {"element": element, "size": len(es), "members": sorted(es.members.names())}
+    return result, [_status("target-not-in-eta", G.id_of(element) not in es)]
 
 
-def _cmd_k_estimate(spec, flags, base_dir):
-    assertions = []
-    if spec.kind in TOWER_KINDS:
-        tower = build_tower(spec, base_dir)
-        rep = k_estimate(tower,
-                         max_level=flags.get("max_level", 8),
-                         window=flags.get("window", 2),
-                         birth_cap=flags.get("birth_cap", 4))
-        result = rep.to_json()
+def _cmd_k_estimate(spec, flags, base_dir, spec_paths):
+    if _kind(spec).tower:
+        rep = k_estimate(build_tower(spec, base_dir),
+                         **_given(flags, "max_level", "window", "birth_cap"))
+        assertions = []
         if rep.agrees is not None:
-            assertions.append({"name": "matches-theory",
-                               "status": PASS if rep.agrees else "fail",
-                               **({} if rep.agrees else
-                                  {"witness": {"members": rep.members, "theory": rep.theory}})})
-    else:
-        G = build_group(spec, base_dir)
-        rep = k_finite(G)
-        result = {"members": sorted(rep.members.names()), "warning": rep.warning}
-        assertions.append({"name": "k-finite-degenerate-whole-group",
-                           "status": PASS if len(rep.members) == G.order else "fail"})
-    return result, assertions
+            assertions.append(_status("matches-theory", rep.agrees,
+                                      {"members": rep.members, "theory": rep.theory}))
+        return rep.to_json(), assertions
+    G = build_group(spec, base_dir)
+    rep = k_finite(G)
+    result = {"members": sorted(rep.members.names()), "warning": rep.warning}
+    return result, [_status("k-finite-degenerate-whole-group", len(rep.members) == G.order)]
 
 
 def _lemma33_suite(G):
@@ -332,63 +339,58 @@ def _lemma38_suite(G):
     return True, None
 
 
-def _cmd_lemmas(spec_paths, flags, base_dir):
+def _labelled(label, rep):
+    return [{"name": f"{label}:{a.name}", "status": a.status} for a in rep.assertions]
+
+
+# suite name -> (group, label) -> assertion entries
+SUITES = {
+    "3.1": lambda G, label: _labelled(label, check_lemma31(G)),
+    "3.2": lambda G, label: _labelled(label, check_lemma32(G)),
+    "3.3": lambda G, label: [_status(f"{label}:inner-automorphism-invariance",
+                                     _lemma33_suite(G))],
+    "3.8": lambda G, label: [_status(f"{label}:closed-form-vs-brute-force",
+                                     *_lemma38_suite(G))],
+    "3.9": lambda G, label: [a for p in range(2, G.order + 1)
+                             if G.order % p == 0 and is_prime(p)
+                             for a in _labelled(f"{label}:p={p}", check_lemma39(G, p))],
+}
+
+
+def _cmd_lemmas(spec, flags, base_dir, spec_paths):
     suite = flags.get("suite")
-    if suite not in ("3.1", "3.2", "3.3", "3.8", "3.9"):
+    if suite not in SUITES:
         raise SpecError([f"unknown lemma suite {suite!r}"])
-    assertions = []
-    result = {"suite": suite, "groups": []}
-    for path in spec_paths:
-        spec = parse_spec(Path(path).read_text(encoding="utf-8"), base_dir)
-        G = build_group(spec, base_dir)
-        label = spec.label or G.label or Path(path).stem
+    if spec_paths is not None:
+        docs = ((parse_spec(Path(p).read_text(encoding="utf-8"), base_dir), Path(p).stem)
+                for p in spec_paths)
+    elif spec is not None:
+        docs = [(spec, spec.kind)]
+    else:
+        raise SpecError(["lemmas requires a spec document or spec paths"])
+    result, assertions = {"suite": suite, "groups": []}, []
+    for doc, stem in docs:
+        G = build_group(doc, base_dir)
+        label = doc.label or G.label or stem
         result["groups"].append(label)
-        if suite == "3.1":
-            rep = check_lemma31(G)
-            for a in rep.assertions:
-                assertions.append({"name": f"{label}:{a.name}", "status": a.status})
-        elif suite == "3.2":
-            rep = check_lemma32(G)
-            for a in rep.assertions:
-                assertions.append({"name": f"{label}:{a.name}", "status": a.status})
-        elif suite == "3.3":
-            ok = _lemma33_suite(G)
-            assertions.append({"name": f"{label}:inner-automorphism-invariance",
-                               "status": PASS if ok else "fail"})
-        elif suite == "3.8":
-            ok, wit = _lemma38_suite(G)
-            assertions.append({"name": f"{label}:closed-form-vs-brute-force",
-                               "status": PASS if ok else "fail",
-                               **({} if ok else {"witness": wit})})
-        elif suite == "3.9":
-            primes = sorted({p for p in range(2, G.order + 1)
-                             if _is_prime(p) and G.order % p == 0})
-            for p in primes:
-                rep = check_lemma39(G, p)
-                for a in rep.assertions:
-                    assertions.append({"name": f"{label}:p={p}:{a.name}",
-                                       "status": a.status})
+        assertions += SUITES[suite](G, label)
     return result, assertions
 
 
-def _cmd_reduce_t2(spec, flags, base_dir):
+def _cmd_reduce_t2(spec, flags, base_dir, spec_paths):
     tower = build_tower(spec, base_dir)
     level = flags.get("level")
     if level is None:
         raise SpecError(["reduce-t2 requires --level"])
     trace = quaternion_reduce(tower, level, verify_next_level=True)
-    result = trace.to_json()
-    assertions = [
-        {"name": "generalized-quaternion-recognizer",
-         "status": PASS if trace.recognizer_passed else "fail"},
-        {"name": "eta-of-a-trivial", "status": PASS if trace.eta_trivial else "fail"},
-        {"name": "level-independent",
-         "status": PASS if trace.level_independent else "fail"},
+    return trace.to_json(), [
+        _status("generalized-quaternion-recognizer", trace.recognizer_passed),
+        _status("eta-of-a-trivial", trace.eta_trivial),
+        _status("level-independent", trace.level_independent),
     ]
-    return result, assertions
 
 
-def _cmd_omega1_census(spec, flags, base_dir):
+def _cmd_omega1_census(spec, flags, base_dir, spec_paths):
     depth = flags.get("depth")
     if depth is None:
         if spec is not None and spec.kind == "tree_vw":
@@ -399,14 +401,43 @@ def _cmd_omega1_census(spec, flags, base_dir):
     return rep.result, [a.to_json() for a in rep.assertions]
 
 
-def _cmd_emit_table(spec, flags, base_dir):
+def _cmd_emit_table(spec, flags, base_dir, spec_paths):
     out = flags.get("out")
     if not out:
         raise SpecError(["emit-table requires --out"])
     G = build_group(spec, base_dir)
-    text = dumps_table(G)
-    Path(out).write_text(text, encoding="utf-8")
+    Path(out).write_text(dumps_table(G), encoding="utf-8")
     return {"path": str(out), "order": G.order}, []
+
+
+_LEVELS = {"--max-level": {"type": int, "default": DEFAULT_MAX_LEVEL},
+           "--window": {"type": int, "default": DEFAULT_WINDOW}}
+
+# command -> (handler, help, command-line flags)
+COMMANDS = {
+    "eta": (_cmd_eta, "level-wise eta with stabilization certificate",
+            {"--element": {"required": True}, **_LEVELS}),
+    "k-estimate": (_cmd_k_estimate, "stabilized-element estimate of K",
+                   {**_LEVELS, "--birth-cap": {"type": int, "default": DEFAULT_BIRTH_CAP}}),
+    "lemmas": (_cmd_lemmas, "run a lemma suite on a group spec or directory of specs",
+               {"--suite": {"required": True, "choices": list(SUITES)}}),
+    "reduce-t2": (_cmd_reduce_t2, "generalized quaternion reduction of a t2 tower",
+                  {"--level": {"type": int, "required": True}}),
+    "omega1-census": (_cmd_omega1_census, "order-2 census of the tree group",
+                      {"--depth": {"type": int}}),
+    "emit-table": (_cmd_emit_table, "write the group as a Cayley table file",
+                   {"--out": {"required": True}}),
+}
+
+_INPUT_ERRORS = (SpecError, GroupError, OSError, MemoryError)
+
+
+def _error_report(command, exc):
+    """The report of a command that could not compute, for exit code 1."""
+    if isinstance(exc, SpecError):
+        return {"command": command, "errors": exc.errors}
+    message = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+    return {"command": command, "errors": [message]}
 
 
 def run_command(command, spec, flags, *, base_dir=".", spec_paths=None):
@@ -417,27 +448,11 @@ def run_command(command, spec, flags, *, base_dir=".", spec_paths=None):
     """
     start = time.perf_counter()
     try:
-        if command == "eta":
-            result, assertions = _cmd_eta(spec, flags, base_dir)
-        elif command == "k-estimate":
-            result, assertions = _cmd_k_estimate(spec, flags, base_dir)
-        elif command == "lemmas":
-            result, assertions = _cmd_lemmas(spec_paths, flags, base_dir)
-        elif command == "reduce-t2":
-            result, assertions = _cmd_reduce_t2(spec, flags, base_dir)
-        elif command == "omega1-census":
-            result, assertions = _cmd_omega1_census(spec, flags, base_dir)
-        elif command == "emit-table":
-            result, assertions = _cmd_emit_table(spec, flags, base_dir)
-        else:
+        if command not in COMMANDS:
             raise SpecError([f"unknown command {command!r}"])
-    except SpecError as exc:
-        report = {"command": command, "errors": exc.errors}
-        return report, 1
-    except (GroupError, InvalidElementError, OSError) as exc:
-        report = {"command": command, "errors": [str(exc)]}
-        return report, 1
-    assertions = [a if isinstance(a, dict) else a.to_json() for a in assertions]
+        result, assertions = COMMANDS[command][0](spec, flags, base_dir, spec_paths)
+    except _INPUT_ERRORS as exc:
+        return _error_report(command, exc), 1
     report = {
         "spec": spec.to_json() if spec is not None else None,
         "command": command,
@@ -465,48 +480,23 @@ def main(argv=None):
                                      "finite groups and towers of finite groups.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("spec", help="path to a JSON spec document")
-        return sp
-
-    sp = add("eta", help="level-wise eta with stabilization certificate")
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--max-level", type=int, default=8)
-    sp.add_argument("--window", type=int, default=2)
-
-    sp = add("k-estimate", help="stabilized-element estimate of K")
-    sp.add_argument("--max-level", type=int, default=8)
-    sp.add_argument("--window", type=int, default=2)
-    sp.add_argument("--birth-cap", type=int, default=4)
-
-    sp = add("lemmas", help="run a lemma suite on a group spec or directory of specs")
-    sp.add_argument("--suite", required=True, choices=["3.1", "3.2", "3.3", "3.8", "3.9"])
-
-    sp = add("reduce-t2", help="generalized quaternion reduction of a t2 tower")
-    sp.add_argument("--level", type=int, required=True)
-
-    sp = add("omega1-census", help="order-2 census of the tree group")
-    sp.add_argument("--depth", type=int)
-
-    sp = add("emit-table", help="write the group as a Cayley table file")
-    sp.add_argument("--out", required=True)
+        for flag, kw in options.items():
+            sp.add_argument(flag, **kw)
 
     args = parser.parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "spec")}
-    flags = {k.replace("-", "_"): v for k, v in flags.items()}
     try:
         spec, spec_paths, base_dir = _load_spec_arg(args.spec)
-    except (SpecError, OSError) as exc:
-        errors = exc.errors if isinstance(exc, SpecError) else [str(exc)]
-        print(json.dumps({"command": args.command, "errors": errors},
-                         indent=2, sort_keys=True))
-        return 1
-    if args.command == "lemmas" and spec is not None:
-        spec = None  # lemmas always runs over the file list
-    report, code = run_command(args.command, spec, flags,
-                               base_dir=base_dir, spec_paths=spec_paths)
+    except _INPUT_ERRORS as exc:
+        report, code = _error_report(args.command, exc), 1
+    else:
+        if args.command == "lemmas":
+            spec = None  # lemmas always runs over the file list
+        report, code = run_command(args.command, spec, flags,
+                                   base_dir=base_dir, spec_paths=spec_paths)
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
 

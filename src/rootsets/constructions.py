@@ -20,6 +20,7 @@ from .kernel import (
     commutator,
     derived_subgroup,
     exponent,
+    is_prime,
     order_of,
     order_profile,
     quotient,
@@ -44,10 +45,6 @@ class LevelTooSmallError(GroupError):
     pass
 
 
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 # ---------------------------------------------------------------------------
 # extraspecial building block
 
@@ -55,7 +52,7 @@ def heisenberg(p):
     """Upper unitriangular 3x3 matrices over Z_p: nonabelian, order p^3, exponent p."""
     if p == 2:
         raise GroupError("no nonabelian group of order 8 has exponent 2")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     idx = np.arange(p ** 3)
     A, B, C = idx // (p * p), (idx // p) % p, idx % p
@@ -83,7 +80,7 @@ class CocycleTable:
 
     @classmethod
     def of(cls, base, p, rows):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise CocycleError(f"{p} is not prime")
         w = np.asarray(rows, dtype=np.int64)
         n = base.order

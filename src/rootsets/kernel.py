@@ -8,6 +8,7 @@ identity row/column, Latin square, uniqueness of names, and associativity
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -331,7 +332,7 @@ def derived_subgroup(G):
 
 
 def omega1(G, p):
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     return closure(G, [g for g in G.elements() if order_of(G, g) == p])
 
@@ -434,13 +435,10 @@ def validate_automorphism(G, mapping):
     return Homomorphism.validated(G, G, m)
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    for d in range(2, int(p ** 0.5) + 1):
-        if p % d == 0:
-            return False
-    return True
+def is_prime(p):
+    """Whether ``p`` is an integer prime, by trial division."""
+    return isinstance(p, numbers.Integral) and p >= 2 \
+        and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------

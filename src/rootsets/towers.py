@@ -20,6 +20,8 @@ from .kernel import (
     Homomorphism,
     InvalidElementError,
     center,
+    closure,
+    is_prime,
     order_of,
 )
 
@@ -125,6 +127,11 @@ class Level:
     def has(self, name):
         return name in self.index
 
+    def check_element(self, g):
+        if not 0 <= int(g) < self.n:
+            raise InvalidElementError(f"element index {g} out of range at {self.label}")
+        return int(g)
+
     def mul_vec(self, a, b):
         return self._mul_vec(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
@@ -147,6 +154,22 @@ class Level:
             table = rows.reshape(self.n, self.n)
             self._group = FiniteGroupTable(table, self.names, label=self.label)
         return self._group
+
+
+def _is_hom(src, tgt, f, seed):
+    """Whether f(a*b) = f(a)*f(b) for the index map ``f`` from ``src`` to ``tgt``.
+
+    All pairs are checked when there are at most EMBED_FULL_PAIR_BOUND of
+    them; above that, 10*n pairs drawn with ``default_rng(seed)``.
+    """
+    n = src.n
+    if n * n <= EMBED_FULL_PAIR_BOUND:
+        idx = np.arange(n, dtype=np.int64)
+        a, b = np.repeat(idx, n), np.tile(idx, n)
+    else:
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, n, size=10 * n), rng.integers(0, n, size=10 * n)
+    return np.array_equal(f[src.mul_vec(a, b)], tgt.mul_vec(f[a], f[b]))
 
 
 class Tower:
@@ -189,22 +212,10 @@ class Tower:
                 raise TowerError(f"embedding broken at level {k}: {exc}") from exc
             if len(set(emb.tolist())) != src.n:
                 raise TowerError(f"embedding at level {k} is not injective")
-            self._check_embed_hom(src, tgt, emb, k)
+            if not _is_hom(src, tgt, emb, k):
+                raise TowerError(f"embedding at level {k} is not a homomorphism")
             self._embeds[k] = emb
         return self._embeds[k]
-
-    def _check_embed_hom(self, src, tgt, emb, k):
-        n = src.n
-        if n * n <= EMBED_FULL_PAIR_BOUND:
-            idx = np.arange(n, dtype=np.int64)
-            a = np.repeat(idx, n)
-            b = np.tile(idx, n)
-        else:
-            rng = np.random.default_rng(k)
-            a = rng.integers(0, n, size=10 * n)
-            b = rng.integers(0, n, size=10 * n)
-        if not np.array_equal(emb[src.mul_vec(a, b)], tgt.mul_vec(emb[a], emb[b])):
-            raise TowerError(f"embedding at level {k} is not a homomorphism")
 
     def embedding_hom(self, k):
         """The embedding as a kernel Homomorphism between materialized levels."""
@@ -240,7 +251,7 @@ class PruferTower(Tower):
 
     def __init__(self, p):
         super().__init__()
-        if not _is_prime(p):
+        if not is_prime(p):
             raise TowerError(f"{p} is not prime")
         self.p = p
 
@@ -270,6 +281,8 @@ class PruferTower(Tower):
     def _alpha_map(self, k, recipe):
         lvl = self.level(k)
         base = np.arange(lvl.n, dtype=np.int64)
+        if "0" not in recipe:
+            raise TowerError("recipe missing transversal rep '0'")
         rep_name, (num, den) = recipe["0"]
         if rep_name != "0":
             raise TowerError("prufer recipe must fix the trivial transversal")
@@ -296,7 +309,7 @@ class T1Tower(Tower):
 
     def __init__(self, H, p, a_gen, *, label=""):
         super().__init__()
-        if not _is_prime(p):
+        if not is_prime(p):
             raise TowerError(f"{p} is not prime")
         a_gen = H.check_element(a_gen)
         if a_gen not in center(H):
@@ -396,6 +409,8 @@ class T1Tower(Tower):
                 tgt_name, (num, den) = recipe[nm]
             except KeyError:
                 raise TowerError(f"recipe missing transversal rep {nm!r}") from None
+            if tgt_name not in rep_pos:
+                raise TowerError(f"recipe target {tgt_name!r} is not a transversal rep")
             if ck % den:
                 raise TowerError(f"recipe offset {num}/{den} not expressible at level {k}")
             t_img[t] = rep_pos[tgt_name]
@@ -490,16 +505,7 @@ class T2Tower(Tower):
         nb = blvl.n
         if alpha[0] != 0 or len(np.unique(alpha)) != nb:
             raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k)
-        if nb * nb <= EMBED_FULL_PAIR_BOUND:
-            idx = np.arange(nb, dtype=np.int64)
-            a = np.repeat(idx, nb)
-            b = np.tile(idx, nb)
-        else:
-            rng = np.random.default_rng(k)
-            a = rng.integers(0, nb, size=10 * nb)
-            b = rng.integers(0, nb, size=10 * nb)
-        if not np.array_equal(alpha[blvl.mul_vec(a, b)],
-                              blvl.mul_vec(alpha[a], alpha[b])):
+        if not _is_hom(blvl, blvl, alpha, k):
             raise ExtensionConditionsFailed("alpha is not a homomorphism", k)
         c_ids = np.arange(self.base.c_part_count(k), dtype=np.int64)
         if not np.array_equal(alpha[c_ids], blvl.inv_vec(c_ids)):
@@ -614,26 +620,14 @@ class QuotientTower(Tower):
 
     def _subgroup_at(self, k):
         blvl = self.base.level(k)
-        members = {0}
-        frontier = [blvl.id_of(nm) for nm in self.gen_names]
-        for g in frontier:
-            members.add(g)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(members):
-                    for prod in (blvl.mul(a, b), blvl.mul(b, a)):
-                        if prod not in members:
-                            members.add(prod)
-                            new.append(prod)
-            frontier = new
+        members = closure(blvl, [blvl.id_of(nm) for nm in self.gen_names])
         names = {blvl.names[g] for g in members}
         if self._n_names is None:
             self._n_names = names
         elif names != self._n_names:
             raise TowerError(
                 f"quotient subgroup is not stable: differs at level {k}")
-        return sorted(members)
+        return members.indices
 
     def _build_level(self, k):
         blvl = self.base.level(k)
@@ -755,6 +749,8 @@ def _roots_cols(level, target_ids):
 
 def _eta_engine(tower, names, max_level, window, member_cap):
     """Compute per-level eta for the named elements, with coherence checks."""
+    if window < 1:
+        raise TowerError(f"window must be >= 1, got {window}")
     names = list(names)
     k0 = tower.k0
     levels = {k: tower.level(k) for k in range(k0, max_level + 1)}
@@ -886,9 +882,3 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     return KReport(tower.kind, max_level, window, bl,
                    sorted(members), sorted(growing), sorted(undetermined),
                    theory_list, tower.theory_tag, agrees, reports)
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
