@@ -19,10 +19,10 @@ from .kernel import (
     closure,
     commutator,
     derived_subgroup,
-    exponent,
     is_prime,
     order_of,
     order_profile,
+    power,
     quotient,
     subgroup_table,
 )
@@ -405,13 +405,6 @@ class ReductionTrace:
         }
 
 
-def _power(G, g, m):
-    cur = 0
-    for _ in range(m):
-        cur = G.mul(cur, g)
-    return cur
-
-
 def quaternion_reduce(tower, level, *, verify_next_level=False):
     """Reduce an index-2 inverting tower level to a generalized quaternion section.
 
@@ -440,7 +433,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
                 f"no element of order 4 in the C part at this stage "
                 f"(level {level} too small for m = {tower.m})")
         a2 = min(order4)
-        z = G.mul(_power(G, x, m), a2)
+        z = G.mul(power(G, x, m), a2)
         z2 = G.mul(z, z)
         expect = a_cur if m % 2 else 0
         if z2 != expect:
@@ -466,7 +459,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
         pos = {g: i for i, g in enumerate(old_ids)}
         Q, proj = quotient(sub, Subset.of(sub, [pos[g] for g in N]))
         # closing relation of the induction: x^m N = a2 N
-        if proj(_power(sub, pos[x], m)) != proj(pos[a2]):
+        if proj(power(sub, pos[x], m)) != proj(pos[a2]):
             raise RelationFailed("closing relation x^m N = a2 N fails")
         x = proj(pos[x])
         C = sorted({proj(pos[c]) for c in C})

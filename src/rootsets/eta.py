@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import (
-    FiniteGroupTable,
     GroupError,
-    Homomorphism,
     Subset,
     cyclic_subgroup,
     order_of,
+    power,
     quotient,
 )
 from .report import CheckReport
@@ -209,9 +208,7 @@ def check_lemma39(G, p):
     n = G.order
     ok, wit = True, None
     for x in range(n):
-        a = x
-        for _ in range(p - 1):
-            a = G.mul(a, x)  # a = x^p
+        a = power(G, x, p)
         for g in range(n):
             if R[g, a]:
                 continue  # g not in eta(a)

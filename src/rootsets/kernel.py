@@ -1,24 +1,22 @@
 """Exact arithmetic on finite groups given by Cayley tables.
 
 Element 0 is always the identity.  Tables are validated on construction:
-identity row/column, Latin square, uniqueness of names, and associativity
-(full check up to ``ASSOC_FULL_BOUND``, random sampling above it).
+identity row/column, Latin square, uniqueness of names, and associativity.
+Associativity and homomorphism laws are checked exactly, by generators.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-ASSOC_FULL_BOUND = 512
-ASSOC_SAMPLE_FACTOR = 10
+# table checks take rows in blocks of this many entries: no n x n temporaries
+BLOCK_ENTRIES = 1 << 16
 
 
 class GroupError(Exception):
@@ -58,7 +56,7 @@ class NotHomomorphicError(GroupError):
 class FiniteGroupTable:
     """A finite group as an identity-indexed Cayley table with named elements."""
 
-    def __init__(self, table, names=None, *, label="", assoc_bound=ASSOC_FULL_BOUND, seed=0):
+    def __init__(self, table, names=None, *, label=""):
         tab = np.asarray(table, dtype=np.int64)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
             raise TableFormatError("table must be a square matrix")
@@ -78,10 +76,10 @@ class FiniteGroupTable:
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
         self.meta = {}
-        self._validate(assoc_bound, seed)
-        self._inv = self._compute_inverses()
+        self._validate()
+        self._inv = np.argmin(tab, axis=1)  # the column holding 0 in each row
 
-    def _validate(self, assoc_bound, seed):
+    def _validate(self):
         n = self.order
         tab = self.table
         if tab.min() < 0 or tab.max() >= n:
@@ -91,33 +89,24 @@ class FiniteGroupTable:
             raise TableFormatError("row 0 does not act as identity")
         if not np.array_equal(tab[:, 0], idx):
             raise TableFormatError("column 0 does not act as identity")
-        for i in range(n):
-            if len(np.unique(tab[i])) != n:
-                raise TableFormatError(f"row {i} is not a permutation")
-        for j in range(n):
-            if len(np.unique(tab[:, j])) != n:
-                raise TableFormatError(f"column {j} is not a permutation")
-        if n <= assoc_bound:
-            for a in range(n):
-                left = tab[tab[a]]          # (a*b)*c
-                right = tab[a][tab]         # a*(b*c)
+        for what, rows in (("row", tab), ("column", tab.T)):
+            for block in _row_blocks(n):
+                bad = np.flatnonzero((np.sort(rows[block], axis=1) != idx).any(axis=1))
+                if bad.size:
+                    raise TableFormatError(f"{what} {block.start + bad[0]} is not a permutation")
+        self.generators = generating_set(self)
+        # Light's test (Clifford & Preston I, 1.2): (a*b)*s = a*(b*s) for every
+        # generator s; the s satisfying it are closed under products
+        for s in self.generators:
+            col = tab[:, s]                          # b*s for every b
+            for rows in _row_blocks(n):
+                left = col[tab[rows]]                # (a*b)*s
+                right = tab[rows].take(col, axis=1)  # a*(b*s)
                 if not np.array_equal(left, right):
-                    b, c = map(int, np.argwhere(left != right)[0])
-                    raise TableFormatError(f"associativity fails at ({a},{b},{c})")
-            self.meta["associativity"] = "full"
-        else:
-            rng = random.Random(seed)
-            for _ in range(ASSOC_SAMPLE_FACTOR * n):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if tab[tab[a, b], c] != tab[a, tab[b, c]]:
-                    raise TableFormatError(f"associativity fails at ({a},{b},{c})")
-            self.meta["associativity"] = "sampled"
-
-    def _compute_inverses(self):
-        inv = np.empty(self.order, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
-        return inv
+                    a, b = map(int, np.argwhere(left != right)[0])
+                    raise TableFormatError(
+                        f"associativity fails at ({rows.start + a},{b},{s})")
+        self.meta["associativity"] = "full"
 
     @property
     def identity(self):
@@ -131,6 +120,9 @@ class FiniteGroupTable:
 
     def mul(self, a, b):
         return int(self.table[self.check_element(a), self.check_element(b)])
+
+    def mul_vec(self, a, b):
+        return self.table[a, b]
 
     def inv(self, a):
         return int(self._inv[self.check_element(a)])
@@ -247,13 +239,12 @@ class Homomorphism:
             raise InvalidElementError("map image out of range")
         if m[0] != 0:
             raise NotHomomorphicError("map does not send identity to identity")
-        left = m[source.table]
-        right = target.table[np.ix_(m, m)]
-        if not np.array_equal(left, right):
-            a, b = map(int, np.argwhere(left != right)[0])
+        wit = hom_witness(source, target, m)
+        if wit is not None:
+            a, b = wit
             raise NotHomomorphicError(
                 f"homomorphism law fails at ({source.names[a]},{source.names[b]})",
-                witness=(a, b))
+                witness=wit)
         return cls(source, target, tuple(int(x) for x in m))
 
     def __call__(self, g):
@@ -291,25 +282,67 @@ def cyclic_subgroup(G, g):
     return Subset.of(G, members)
 
 
+def _row_blocks(n):
+    """Slices of consecutive rows of an n-column array, about BLOCK_ENTRIES each."""
+    step = max(1, BLOCK_ENTRIES // n)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _reach(G, seen, frontier, gens):
+    """Mark in ``seen`` everything reachable from ``frontier`` by right products with ``gens``."""
+    gens = np.asarray(gens, dtype=np.int64)
+    while frontier.size:
+        prods = G.mul_vec(np.repeat(frontier, gens.size), np.tile(gens, frontier.size))
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
+
+
 def closure(G, seed):
-    """Least subgroup containing ``seed`` (breadth-first product closure)."""
-    members = {0}
-    frontier = [0]
-    for g in seed:
-        g = G.check_element(g)
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for prod in (G.mul(a, b), G.mul(b, a)):
-                    if prod not in members:
-                        members.add(prod)
-                        new.append(prod)
-        frontier = new
-    return Subset.of(G, members)
+    """Least subgroup containing ``seed``, by right products; ``G`` needs ``mul_vec``."""
+    seed = [G.check_element(g) for g in seed]
+    seen = np.zeros(len(G.names), dtype=bool)
+    seen[0] = True
+    _reach(G, seen, np.zeros(1, dtype=np.int64), seed)
+    return Subset(G, tuple(np.flatnonzero(seen).tolist()))
+
+
+def generating_set(G):
+    """Greedy generators: repeatedly add the least element not yet reached.
+
+    Every element is a product of the result.  In a group each generator at
+    least doubles the reached subgroup, so there are at most log2 |G|.
+    """
+    seen = np.zeros(len(G.names), dtype=bool)
+    seen[0] = True
+    gens = []
+    while not seen.all():
+        gens.append(int(np.argmin(seen)))
+        _reach(G, seen, np.flatnonzero(seen), gens)
+    return gens
+
+
+def hom_witness(source, target, f):
+    """A pair (x, s) with f(x*s) != f(x)*f(s), or None if the index array ``f`` is a homomorphism.
+
+    Exact for maps between groups: x ranges over all of ``source`` and s over
+    its generators, and the s satisfying the law are closed under products.
+    """
+    if f[0] != 0:
+        return (0, 0)  # f(0) = f(0)*f(0) forces f(0) to be the identity
+    x = np.arange(f.size, dtype=np.int64)
+    for s in source.generators:
+        bad = f[source.mul_vec(x, s)] != target.mul_vec(f, f[s])
+        if bad.any():
+            return int(np.argmax(bad)), s
+    return None
+
+
+def power(G, g, m):
+    """g^m for m >= 0, by repeated multiplication."""
+    cur = 0
+    for _ in range(m):
+        cur = G.mul(cur, g)
+    return cur
 
 
 def centralizer(G, S):
@@ -351,13 +384,8 @@ def order_profile(G):
 
 
 def is_subgroup(G, S):
-    if len(S) == 0:
-        return False
-    for a in S:
-        for b in S:
-            if G.mul(a, b) not in S:
-                return False
-    return True
+    """Whether the nonempty subset ``S`` is closed under multiplication."""
+    return len(S) > 0 and len(closure(G, S)) == len(set(S))
 
 
 def check_normal(G, N):
@@ -385,18 +413,13 @@ def quotient(G, N):
     comes first and the rest follow in representative order.
     """
     check_normal(G, N)
-    n = G.order
-    coset_of = [-1] * n
+    coset_of = np.full(G.order, -1, dtype=np.int64)
     reps = []
-    for g in range(n):
-        if coset_of[g] != -1:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for x in N:
-            coset_of[G.mul(g, x)] = idx
-    q = len(reps)
-    table = [[coset_of[G.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+    for g in range(G.order):
+        if coset_of[g] == -1:
+            coset_of[G.mul_vec(g, list(N))] = len(reps)
+            reps.append(g)
+    table = coset_of[G.mul_vec(np.array(reps)[:, None], reps)]
     names = [f"[{G.names[r]}]" for r in reps]
     Q = FiniteGroupTable(table, names, label=f"{G.label}/N" if G.label else "quotient")
     proj = Homomorphism.validated(G, Q, coset_of)
@@ -456,7 +479,7 @@ def loads_table(text, *, label=""):
         n = int(lines[0].strip())
     except ValueError:
         raise TableFormatError(f"bad order line: {lines[0]!r}") from None
-    if len(lines) < n + 2:
+    if len(lines) != n + 2:
         raise TableFormatError(f"expected {n + 2} content lines, got {len(lines)}")
     names = lines[1].split()
     if len(names) != n:

@@ -11,6 +11,7 @@ provide the expected answers the reports are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +22,13 @@ from .kernel import (
     InvalidElementError,
     center,
     closure,
+    generating_set,
+    hom_witness,
     is_prime,
     order_of,
+    power,
 )
 
-EMBED_FULL_PAIR_BOUND = 1 << 24
 DEFAULT_MAX_LEVEL = 8
 DEFAULT_WINDOW = 2
 DEFAULT_BIRTH_CAP = 4
@@ -144,32 +147,19 @@ class Level:
     def inv(self, a):
         return int(self.inv_vec(a))
 
+    @cached_property
+    def generators(self):
+        return generating_set(self)
+
     def group(self, *, cap=4096):
         """Materialize the level as a validated Cayley table."""
         if self._group is None:
             if self.n > cap:
                 raise TowerError(f"level of order {self.n} exceeds materialization cap {cap}")
             idx = np.arange(self.n, dtype=np.int64)
-            rows = self.mul_vec(np.repeat(idx, self.n), np.tile(idx, self.n))
-            table = rows.reshape(self.n, self.n)
+            table = self.mul_vec(idx[:, None], idx)
             self._group = FiniteGroupTable(table, self.names, label=self.label)
         return self._group
-
-
-def _is_hom(src, tgt, f, seed):
-    """Whether f(a*b) = f(a)*f(b) for the index map ``f`` from ``src`` to ``tgt``.
-
-    All pairs are checked when there are at most EMBED_FULL_PAIR_BOUND of
-    them; above that, 10*n pairs drawn with ``default_rng(seed)``.
-    """
-    n = src.n
-    if n * n <= EMBED_FULL_PAIR_BOUND:
-        idx = np.arange(n, dtype=np.int64)
-        a, b = np.repeat(idx, n), np.tile(idx, n)
-    else:
-        rng = np.random.default_rng(seed)
-        a, b = rng.integers(0, n, size=10 * n), rng.integers(0, n, size=10 * n)
-    return np.array_equal(f[src.mul_vec(a, b)], tgt.mul_vec(f[a], f[b]))
 
 
 class Tower:
@@ -200,8 +190,7 @@ class Tower:
         """Validated embedding level(k) -> level(k+1), as an index array.
 
         Names are the stable addressing, so the embedding is name lookup;
-        the homomorphism law is checked on all pairs below a size bound and
-        on random samples above it.
+        the homomorphism law is checked exactly, by generators of level k.
         """
         if k not in self._embeds:
             src, tgt = self.level(k), self.level(k + 1)
@@ -212,7 +201,7 @@ class Tower:
                 raise TowerError(f"embedding broken at level {k}: {exc}") from exc
             if len(set(emb.tolist())) != src.n:
                 raise TowerError(f"embedding at level {k} is not injective")
-            if not _is_hom(src, tgt, emb, k):
+            if hom_witness(src, tgt, emb) is not None:
                 raise TowerError(f"embedding at level {k} is not a homomorphism")
             self._embeds[k] = emb
         return self._embeds[k]
@@ -505,7 +494,7 @@ class T2Tower(Tower):
         nb = blvl.n
         if alpha[0] != 0 or len(np.unique(alpha)) != nb:
             raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k)
-        if not _is_hom(blvl, blvl, alpha, k):
+        if hom_witness(blvl, blvl, alpha) is not None:
             raise ExtensionConditionsFailed("alpha is not a homomorphism", k)
         c_ids = np.arange(self.base.c_part_count(k), dtype=np.int64)
         if not np.array_equal(alpha[c_ids], blvl.inv_vec(c_ids)):
@@ -513,15 +502,11 @@ class T2Tower(Tower):
         if alpha[y_id] != y_id:
             raise ExtensionConditionsFailed("alpha does not fix y", k)
         g = np.arange(nb, dtype=np.int64)
-        conj = blvl.mul_vec(blvl.mul_vec(np.full(nb, blvl.inv(y_id), dtype=np.int64), g),
-                            np.full(nb, y_id, dtype=np.int64))
+        conj = blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), g), y_id)
         if not np.array_equal(alpha[alpha], conj):
             raise ExtensionConditionsFailed("alpha squared is not conjugation by y", k)
         # y^m must be the distinguished involution, making x^{2m} = a
-        cur = 0
-        for _ in range(self.m):
-            cur = blvl.mul(cur, y_id)
-        if cur != a_id:
+        if power(blvl, y_id, self.m) != a_id:
             raise ExtensionConditionsFailed(f"y^{self.m} is not the involution a", k)
 
     def c_names(self, k):
