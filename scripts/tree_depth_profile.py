@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Order statistics of the tree groups by depth.
 
-Depths 1 and 2 are counted exhaustively; deeper levels are sampled, since
-depth 4 already has order 2^31.
+Depths 1 and 2 are tables, counted exhaustively in one pass over their
+element orders; deeper levels are oracle groups and are sampled, since depth
+4 already has order 2^31.
 """
 
 import argparse
-from collections import Counter
 
 import numpy as np
 
 from rootsets.constructions import tree_vw_group
-from rootsets.kernel import order_of, order_profile
+from rootsets.kernel import order_of
 
 
 def main():
@@ -27,15 +27,13 @@ def main():
         G = tree_vw_group(depth)
         spec = G.tree_spec
         if depth <= 2:
-            profile = order_profile(G)
+            orders = G.orders
             mode = "exhaustive"
         else:
-            counts = Counter()
-            for _ in range(args.samples):
-                g = int(rng.integers(0, G.order))
-                counts[order_of(G, g)] += 1
-            profile = dict(sorted(counts.items()))
+            orders = [order_of(G, int(rng.integers(0, G.order))) for _ in range(args.samples)]
             mode = f"sampled ({args.samples})"
+        values, counts = np.unique(orders, return_counts=True)
+        profile = dict(zip(values.tolist(), counts.tolist()))
         print(f"depth {depth}: order 2^{spec.v_dim + spec.w_dim} "
               f"(V dim {spec.v_dim}, W dim {spec.w_dim}), {mode}")
         print(f"  element orders: {profile}")

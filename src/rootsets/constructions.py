@@ -330,9 +330,7 @@ def check_class2_squaring(G):
     if not set(der) <= cen:
         rep.add_hypothesis_failure("derived-subgroup-central")
         return rep
-    der_exp = 1
-    for d in der:
-        der_exp = max(der_exp, order_of(G, d))
+    der_exp = max(order_of(G, d) for d in der)
     if der_exp > 2:
         rep.add_hypothesis_failure("derived-exponent-divides-2", der_exp)
         return rep
@@ -359,10 +357,7 @@ def is_generalized_quaternion(G):
     n = G.order
     if n < 8 or n & (n - 1):
         return False
-    orders = [order_of(G, g) for g in G.elements()]
-    if sum(1 for o in orders if o == 2) != 1:
-        return False
-    return max(orders) == n // 2
+    return bool((G.orders == 2).sum() == 1 and G.orders.max() == n // 2)
 
 
 @dataclass

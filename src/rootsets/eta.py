@@ -18,8 +18,10 @@ from .kernel import (
     Subset,
     cyclic_subgroup,
     order_of,
-    power,
+    power_vec,
+    prime_factors,
     quotient,
+    roots,
 )
 from .report import CheckReport
 
@@ -45,21 +47,13 @@ class PreconditionError(GroupError):
 
 def roots_matrix(G):
     """Boolean matrix R with R[h, g] true iff g lies in the cyclic subgroup of h."""
-    n = G.order
-    R = np.zeros((n, n), dtype=bool)
-    for h in range(n):
-        R[h, 0] = True
-        cur = h
-        while cur != 0:
-            R[h, cur] = True
-            cur = G.mul(cur, h)
-    return R
+    return roots(G, np.arange(G.order))
 
 
 def eta(G, g):
     g = G.check_element(g)
-    members = [h for h in G.elements() if g not in cyclic_subgroup(G, h)]
-    return EtaSet(G, g, Subset.of(G, members))
+    members = np.flatnonzero(~roots(G, [g])[:, 0])
+    return EtaSet(G, g, Subset(G, tuple(members.tolist())))
 
 
 DEGENERACY_WARNING = (
@@ -77,30 +71,15 @@ class DegenerateSubgroupReport:
 
 def k_finite(G):
     """All g with |eta(g)| < |G| -- the whole group, since g is a root of itself."""
-    members = Subset.of(G, G.elements())
-    assert all(len(eta(G, g)) < G.order for g in G.elements())
-    return DegenerateSubgroupReport(G, members, DEGENERACY_WARNING)
+    rootless = np.flatnonzero(~roots_matrix(G).any(axis=0))
+    if rootless.size:
+        raise GroupError(f"eta({G.names[rootless[0]]}) is the whole group")
+    return DegenerateSubgroupReport(G, Subset.of(G, G.elements()), DEGENERACY_WARNING)
 
 
 def d_finite(G):
     """Intersection of subgroups equipotent with G -- only G itself qualifies."""
     return DegenerateSubgroupReport(G, Subset.of(G, G.elements()), DEGENERACY_WARNING)
-
-
-def _prime_power_base(n):
-    """The prime p with n = p^k (k >= 1), or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
 
 
 def lemma38_decide(G, a, h):
@@ -114,13 +93,14 @@ def lemma38_decide(G, a, h):
     a, h = G.check_element(a), G.check_element(h)
     if G.mul(a, h) != G.mul(h, a):
         raise PreconditionError("non-commuting", "a and h do not commute")
-    p = _prime_power_base(order_of(G, a))
-    if p is None:
+    primes = list(prime_factors(order_of(G, a)))
+    if len(primes) != 1:
         raise PreconditionError("a-not-prime-power",
                                 "order of a is not a prime power p^n with n >= 1")
-    if h not in eta(G, a).members:
-        raise PreconditionError("h-not-in-eta", "h is a root of a")
+    p = primes[0]
     h_cyc = set(cyclic_subgroup(G, h))
+    if a in h_cyc:  # h is in eta(a) iff a is outside <h>
+        raise PreconditionError("h-not-in-eta", "h is a root of a")
     a_cyc = set(cyclic_subgroup(G, a))
     ratio = len(h_cyc) // len(h_cyc & a_cyc)
     return math.gcd(p, ratio) == 1
@@ -135,13 +115,12 @@ class PPrimePartReport:
 
 def p_prime_part(G, p):
     """The set of elements of order coprime to p, with a closure verdict."""
-    members = [g for g in G.elements() if math.gcd(order_of(G, g), p) == 1]
-    mset = set(members)
-    for a in members:
-        for b in members:
-            if G.mul(a, b) not in mset:
-                return PPrimePartReport(Subset.of(G, members), False, (a, b))
-    return PPrimePartReport(Subset.of(G, members), True)
+    members = np.flatnonzero(np.gcd(G.orders, p) == 1)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[members] = True
+    bad = np.argwhere(~inside[G.mul_vec(members[:, None], members)])
+    wit = tuple(members[bad[0]].tolist()) if bad.size else None
+    return PPrimePartReport(Subset(G, tuple(members.tolist())), wit is None, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +130,28 @@ def check_lemma31(G):
     """Exhaustive check of the basic eta laws (empty at identity, inversion
     invariance, submultiplicativity, and containment of the non-centralizer)."""
     rep = CheckReport(f"eta basic laws on {G.label or 'group'}")
-    R = roots_matrix(G)
     n = G.order
-    etas = [~R[:, g] for g in range(n)]  # etas[g][h] true iff h in eta(g)
+    idx = np.arange(n)
+    E = ~roots_matrix(G).T  # E[g, h] true iff h in eta(g)
 
-    rep.add("eta-of-identity-empty", not etas[0].any())
+    rep.add("eta-of-identity-empty", not E[0].any())
 
-    ok, wit = True, None
-    for x in range(n):
-        if not np.array_equal(etas[G.inv(x)], etas[x]):
-            ok, wit = False, G.names[x]
-            break
-    rep.add("eta-inversion-invariant", ok, wit)
+    bad = np.flatnonzero((E[[G.inv(x) for x in idx]] != E).any(axis=1))
+    rep.add("eta-inversion-invariant", not bad.size, G.names[bad[0]] if bad.size else None)
 
     ok, wit = True, None
     for x1 in range(n):
-        for x2 in range(n):
-            prod = G.mul(x1, x2)
-            if (etas[prod] & ~(etas[x1] | etas[x2])).any():
-                ok, wit = False, (G.names[x1], G.names[x2])
-                break
-        if not ok:
+        # x2 with eta(x1*x2) not inside eta(x1) | eta(x2)
+        bad = np.flatnonzero((E[G.mul_vec(x1, idx)] & ~(E[x1] | E)).any(axis=1))
+        if bad.size:
+            ok, wit = False, (G.names[x1], G.names[bad[0]])
             break
     rep.add("eta-of-product-in-union", ok, wit)
 
     ok, wit = True, None
     for x in range(n):
-        noncent = np.fromiter((G.mul(h, x) != G.mul(x, h) for h in range(n)),
-                              dtype=bool, count=n)
-        if (noncent & ~etas[x]).any():
+        noncent = G.mul_vec(idx, x) != G.mul_vec(x, idx)
+        if (noncent & ~E[x]).any():
             ok, wit = False, G.names[x]
             break
     rep.add("eta-contains-non-centralizer", ok, wit)
@@ -206,21 +178,17 @@ def check_lemma39(G, p):
     rep = CheckReport(f"p-th-root separation on {G.label or 'group'} (p={p})")
     R = roots_matrix(G)
     n = G.order
-    ok, wit = True, None
-    for x in range(n):
-        a = power(G, x, p)
-        for g in range(n):
-            if R[g, a]:
-                continue  # g not in eta(a)
-            for y in range(n):
-                if R[g, y] and R[y, x]:
-                    ok, wit = False, (G.names[x], G.names[g], G.names[y])
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("lemma39", ok, wit)
+    # through[g, x]: some y has g as a root and is a root of x
+    through = (R.astype(np.int64) @ R.astype(np.int64)) > 0
+    # bad[g, x]: g in eta(x^p), yet g reaches x through some y
+    bad = ~R[:, power_vec(G, np.arange(n), p)] & through
+    wit = None
+    if bad.any():
+        x = int(np.flatnonzero(bad.any(axis=0))[0])
+        g = int(np.flatnonzero(bad[:, x])[0])
+        y = int(np.flatnonzero(R[g] & R[:, x])[0])
+        wit = (G.names[x], G.names[g], G.names[y])
+    rep.add("lemma39", wit is None, wit)
     return rep
 
 

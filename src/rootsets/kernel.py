@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +111,10 @@ class FiniteGroupTable:
     @property
     def identity(self):
         return 0
+
+    @cached_property
+    def orders(self):
+        return element_orders(self)
 
     def check_element(self, g):
         g = int(g)
@@ -258,18 +262,102 @@ class Homomorphism:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# the roots/orders engine, over any group with ``names`` and ``mul_vec``
+
+def power_vec(G, x, e):
+    """x^e for index arrays x and exponents e >= 0 that broadcast together.
+
+    Binary exponentiation (Knuth, TAOCP vol. 2, 4.6.3): two ``mul_vec``
+    calls per bit of max(e), the squarings over x alone.
+    """
+    x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(x.shape, e.shape), dtype=np.int64)
+    for i in range(int(e.max(initial=0)).bit_length()):
+        if i:
+            x = G.mul_vec(x, x)
+        out = np.where((e >> i) & 1 == 1, G.mul_vec(out, x), out)
+    return out
+
+
+def element_orders(G):
+    """The order of every element, by prime-factor descent from n = |G|.
+
+    For each prime q^a exactly dividing n, the order of x^(n/q^a) is the
+    q-part of the order of x, counted by q-th powers (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005): O(log n) ``mul_vec``
+    calls in a p-group.
+    """
+    n = len(G.names)
+    orders = np.ones(n, dtype=np.int64)
+    for q, a in prime_factors(n).items():
+        y = power_vec(G, np.arange(n), n // q ** a)
+        for _ in range(a):
+            if not y.any():
+                break
+            orders[y != 0] *= q
+            y = power_vec(G, y, q)
+        if y.any():
+            raise GroupError(f"order of element {int(np.argmax(y != 0))} "
+                             f"does not divide group order {n}")
+    return orders
+
+
+def _cyclic_keys(G, targets):
+    """key[x] = least generator of <x>, for x in a target's cyclic subgroup, else -1.
+
+    Subgroups are listed largest order first, in blocks of one order d and
+    about BLOCK_ENTRIES powers; a target that an earlier block reached is
+    skipped.
+    """
+    orders = G.orders
+    key = np.full(orders.size, -1, dtype=np.int64)
+    todo = targets[np.argsort(-orders[targets], kind="stable")]
+    while (todo := todo[key[todo] < 0]).size:
+        d = int(orders[todo[0]])
+        block = todo[orders[todo] == d][:max(1, BLOCK_ENTRIES // d)]
+        P = power_vec(G, block[:, None], np.arange(d))
+        # g^j and g^k generate the same subgroup of <g> iff gcd(j, d) = gcd(k, d)
+        cls = np.gcd(np.arange(d), d)
+        for c in np.unique(cls).tolist():
+            gens = P[:, cls == c]
+            key[gens] = gens.min(axis=1, keepdims=True)
+    return key
+
+
+def roots(G, targets):
+    """Boolean matrix R with R[h, j] true iff targets[j] lies in <h>.
+
+    g lies in <h> iff d = ord g divides ord h and h^(ord h / d) generates
+    <g>.  With cyclic subgroups keyed by their least generator, one power
+    for all distinct target orders d and one compare per d decide R.
+    """
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    orders = G.orders
+    ds, col_of = np.unique(orders[targets], return_inverse=True)
+    key = _cyclic_keys(G, targets)
+    # column d: h^(ord h / d) where d divides ord h, else h^0, the identity,
+    # whose key 0 matches only the identity's
+    e, rem = np.divmod(orders[:, None], ds)
+    root_key = key[power_vec(G, np.arange(orders.size)[:, None],
+                             np.where(rem == 0, e % orders[:, None], 0))]
+    RT = np.empty((targets.size, orders.size), dtype=bool)  # filled a target order at a time
+    for i in range(ds.size):
+        cols = np.flatnonzero(col_of == i)
+        RT[cols] = key[targets[cols]][:, None] == root_key[:, i]
+    return RT.T
+
 
 def order_of(G, g):
-    """Least n >= 1 with g^n = identity."""
+    """Least n >= 1 with g^n = identity; an OracleGroup, having no
+    ``mul_vec``, walks the powers of g."""
     g = G.check_element(g)
-    n, cur = 1, g
-    while cur != 0:
-        cur = G.mul(cur, g)
-        n += 1
-    if isinstance(G, FiniteGroupTable) and G.order % n != 0:
-        raise GroupError(f"element order {n} does not divide group order {G.order}")
-    return n
+    if isinstance(G, OracleGroup):
+        n, cur = 1, g
+        while cur != 0:
+            cur = G.mul(cur, g)
+            n += 1
+        return n
+    return int(G.orders[g])
 
 
 def cyclic_subgroup(G, g):
@@ -282,6 +370,9 @@ def cyclic_subgroup(G, g):
     return Subset.of(G, members)
 
 
+# ---------------------------------------------------------------------------
+# operations
+
 def _row_blocks(n):
     """Slices of consecutive rows of an n-column array, about BLOCK_ENTRIES each."""
     step = max(1, BLOCK_ENTRIES // n)
@@ -289,10 +380,17 @@ def _row_blocks(n):
 
 
 def _reach(G, seen, frontier, gens):
-    """Mark in ``seen`` everything reachable from ``frontier`` by right products with ``gens``."""
-    gens = np.asarray(gens, dtype=np.int64)
+    """Mark in ``seen`` everything reachable from ``frontier`` by right products with ``gens``.
+
+    The squares g^(2^i), 2^i < |G|, of the generators reach nothing new but
+    bring every power g^k within log2 k steps: about log2 |G| rounds.
+    """
+    steps = [np.asarray(gens, dtype=np.int64)]
+    for _ in range((len(G.names) - 1).bit_length() - 1):
+        steps.append(G.mul_vec(steps[-1], steps[-1]))
+    steps = np.unique(np.concatenate(steps))
     while frontier.size:
-        prods = G.mul_vec(np.repeat(frontier, gens.size), np.tile(gens, frontier.size))
+        prods = G.mul_vec(np.repeat(frontier, steps.size), np.tile(steps, frontier.size))
         frontier = np.unique(prods[~seen[prods]])
         seen[frontier] = True
 
@@ -338,11 +436,8 @@ def hom_witness(source, target, f):
 
 
 def power(G, g, m):
-    """g^m for m >= 0, by repeated multiplication."""
-    cur = 0
-    for _ in range(m):
-        cur = G.mul(cur, g)
-    return cur
+    """g^m for m >= 0."""
+    return int(power_vec(G, [G.check_element(g)], m)[0])
 
 
 def centralizer(G, S):
@@ -367,20 +462,18 @@ def derived_subgroup(G):
 def omega1(G, p):
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    return closure(G, [g for g in G.elements() if order_of(G, g) == p])
+    return closure(G, np.flatnonzero(G.orders == p).tolist())
 
 
 def exponent(G):
-    return reduce(math.lcm, (order_of(G, g) for g in G.elements()), 1)
+    return math.lcm(*np.unique(G.orders).tolist())
 
 
 def order_profile(G):
-    """Map element order -> count; the isomorphism-insensitive fingerprint used here."""
-    profile = {}
-    for g in G.elements():
-        n = order_of(G, g)
-        profile[n] = profile.get(n, 0) + 1
-    return profile
+    """Map element order -> count, by increasing order; the
+    isomorphism-insensitive fingerprint used here."""
+    orders, counts = np.unique(G.orders, return_counts=True)
+    return dict(zip(orders.tolist(), counts.tolist()))
 
 
 def is_subgroup(G, S):
@@ -413,13 +506,9 @@ def quotient(G, N):
     comes first and the rest follow in representative order.
     """
     check_normal(G, N)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(G.order):
-        if coset_of[g] == -1:
-            coset_of[G.mul_vec(g, list(N))] = len(reps)
-            reps.append(g)
-    table = coset_of[G.mul_vec(np.array(reps)[:, None], reps)]
+    cosets = G.mul_vec(np.arange(G.order)[:, None], list(N))  # row g holds the coset gN
+    reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
+    table = coset_of[G.mul_vec(reps[:, None], reps)]
     names = [f"[{G.names[r]}]" for r in reps]
     Q = FiniteGroupTable(table, names, label=f"{G.label}/N" if G.label else "quotient")
     proj = Homomorphism.validated(G, Q, coset_of)
@@ -433,11 +522,13 @@ def subgroup_table(G, S):
     """
     if not is_subgroup(G, S):
         raise NotASubgroupError("subset is not closed under multiplication")
-    old = [0] + [g for g in S if g != 0]
-    pos = {g: i for i, g in enumerate(old)}
-    table = [[pos[G.mul(a, b)] for b in old] for a in old]
+    old = np.array([0] + [g for g in S if g != 0], dtype=np.int64)
+    pos = np.empty(len(G.names), dtype=np.int64)
+    pos[old] = np.arange(old.size)
+    table = pos[G.mul_vec(old[:, None], old)]
     names = [G.names[g] for g in old]
-    return FiniteGroupTable(table, names, label=f"{G.label}-sub" if G.label else "subgroup"), old
+    return (FiniteGroupTable(table, names, label=f"{G.label}-sub" if G.label else "subgroup"),
+            old.tolist())
 
 
 def direct_product(G, H):
@@ -462,6 +553,20 @@ def is_prime(p):
     """Whether ``p`` is an integer prime, by trial division."""
     return isinstance(p, numbers.Integral) and p >= 2 \
         and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def prime_factors(n):
+    """Map each prime q dividing n >= 1 to its exponent, by trial division."""
+    factors = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 # ---------------------------------------------------------------------------

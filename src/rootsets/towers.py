@@ -10,6 +10,7 @@ provide the expected answers the reports are compared against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,11 +23,15 @@ from .kernel import (
     InvalidElementError,
     center,
     closure,
+    element_orders,
     generating_set,
     hom_witness,
     is_prime,
     order_of,
     power,
+    power_vec,
+    prime_factors,
+    roots,
 )
 
 DEFAULT_MAX_LEVEL = 8
@@ -100,6 +105,16 @@ def prufer_name(num, p, k):
     return PruferElement.of(p, num, k).name
 
 
+def prufer_names(p, k):
+    """``prufer_name(m, p, k)`` for m = 0 .. p^k - 1, built in one pass."""
+    n = p ** k
+    names = ["0"]
+    for m in range(1, n):
+        g = math.gcd(m, n)  # m/n in lowest terms
+        names.append(f"{m // g}/{n // g}")
+    return names
+
+
 # ---------------------------------------------------------------------------
 # levels
 
@@ -150,6 +165,10 @@ class Level:
     @cached_property
     def generators(self):
         return generating_set(self)
+
+    @cached_property
+    def orders(self):
+        return element_orders(self)
 
     def group(self, *, cap=4096):
         """Materialize the level as a validated Cayley table."""
@@ -250,8 +269,7 @@ class PruferTower(Tower):
 
     def _build_level(self, k):
         p, n = self.p, self.p ** k
-        names = [prufer_name(m, p, k) for m in range(n)]
-        return Level(n, names,
+        return Level(n, prufer_names(p, k),
                      lambda a, b, n=n: (a + b) % n,
                      lambda a, n=n: (-a) % n,
                      label=f"prufer-{p}^{k}")
@@ -304,37 +322,26 @@ class T1Tower(Tower):
         if a_gen not in center(H):
             raise TowerError(f"amalgam generator {H.names[a_gen]} is not central in H")
         a_order = order_of(H, a_gen)
-        n = 0
-        t = a_order
-        while t % p == 0:
-            t //= p
-            n += 1
-        if t != 1:
+        if set(prime_factors(a_order)) - {p}:
             raise TowerError(f"amalgam generator has order {a_order}, not a power of {p}")
         self.H = H
         self.p = p
         self.a_gen = a_gen
-        self.n = n
+        self.n = prime_factors(a_order).get(p, 0)
         self.label = label
         self._setup_transversal()
 
     def _setup_transversal(self):
-        H, a = self.H, self.a_gen
-        a_order = self.p ** self.n
-        nH = H.order
-        dec_t = np.full(nH, -1, dtype=np.int64)
-        dec_j = np.full(nH, -1, dtype=np.int64)
+        H = self.H
+        a_powers = power_vec(H, self.a_gen, np.arange(self.p ** self.n))
+        dec_t = np.full(H.order, -1, dtype=np.int64)
+        dec_j = np.full(H.order, -1, dtype=np.int64)
         reps = []
-        for h in range(nH):
-            if dec_t[h] != -1:
-                continue
-            t = len(reps)
-            reps.append(h)
-            cur = h
-            for j in range(a_order):
-                dec_t[cur] = t
-                dec_j[cur] = j
-                cur = H.mul(cur, a)
+        for h in range(H.order):
+            if dec_t[h] == -1:
+                coset = H.mul_vec(h, a_powers)  # h * a^j
+                dec_t[coset], dec_j[coset] = len(reps), np.arange(a_powers.size)
+                reps.append(h)
         self.reps = np.array(reps, dtype=np.int64)
         self.dec_t = dec_t
         self.dec_j = dec_j
@@ -351,8 +358,8 @@ class T1Tower(Tower):
         Ht = self.H.table
         Hinv = np.array([self.H.inv(h) for h in range(self.H.order)], dtype=np.int64)
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
-        names = [f"{self.H.names[reps[t]]}.{prufer_name(m, p, k)}"
-                 for t in range(self.t_count) for m in range(ck)]
+        c_names = prufer_names(p, k)
+        names = [f"{self.H.names[r]}.{nm}" for r in reps for nm in c_names]
 
         def mul_vec(a, b):
             t1, m1 = np.divmod(a, ck)
@@ -556,9 +563,9 @@ class QuaternionTower(Tower):
             e, m = np.divmod(a, ck)
             return e * ck + np.where(e == 1, (m + half) % ck, (-m) % ck)
 
-        names = [prufer_name(m, 2, k) for m in range(ck)] \
-            + [f"x.{prufer_name(m, 2, k)}" for m in range(ck)]
-        return Level(2 * ck, names, mul_vec, inv_vec, label=f"Q{2 ** (k + 1)}")
+        c_names = prufer_names(2, k)
+        return Level(2 * ck, c_names + [f"x.{nm}" for nm in c_names], mul_vec, inv_vec,
+                     label=f"Q{2 ** (k + 1)}")
 
     def c_names(self, k):
         return self.level(k).names[: 2 ** k]
@@ -617,7 +624,6 @@ class QuotientTower(Tower):
     def _build_level(self, k):
         blvl = self.base.level(k)
         N = np.array(self._subgroup_at(k), dtype=np.int64)
-        n_set = set(N.tolist())
         all_ids = np.arange(blvl.n, dtype=np.int64)
         inv_all = blvl.inv_vec(all_ids)
         for nn in N.tolist():
@@ -628,26 +634,15 @@ class QuotientTower(Tower):
                 raise TowerError(
                     f"not normal at level {k}: conjugate of {blvl.names[nn]} "
                     f"by {blvl.names[g]} escapes")
-        cmap = np.full(blvl.n, -1, dtype=np.int64)
-        cosets = []
-        for g in range(blvl.n):
-            if cmap[g] != -1:
-                continue
-            members = blvl.mul_vec(np.full(len(N), g, dtype=np.int64), N)
-            cmap[members] = len(cosets)
-            cosets.append(members)
-        order = [0] + sorted(range(1, len(cosets)),
-                             key=lambda i: min(blvl.names[int(g)] for g in cosets[i]))
-        relabel = np.empty(len(cosets), dtype=np.int64)
-        for new, old in enumerate(order):
-            relabel[old] = new
+        cosets = blvl.mul_vec(all_ids[:, None], N)  # row g holds the coset gN
+        reps, cmap = np.unique(cosets.min(axis=1), return_inverse=True)
+        least = [min(blvl.names[g] for g in row) for row in cosets[reps].tolist()]
+        order = [0] + sorted(range(1, reps.size), key=least.__getitem__)
+        relabel = np.empty(reps.size, dtype=np.int64)
+        relabel[order] = np.arange(reps.size)
         cmap = relabel[cmap]
-        reps = np.empty(len(cosets), dtype=np.int64)
-        names = [None] * len(cosets)
-        for old, members in enumerate(cosets):
-            new = int(relabel[old])
-            reps[new] = members.min()
-            names[new] = f"[{min(blvl.names[int(g)] for g in members)}]"
+        reps = reps[order]
+        names = [f"[{least[i]}]" for i in order]
 
         def mul_vec(a, b):
             return cmap[blvl.mul_vec(reps[a], reps[b])]
@@ -655,7 +650,7 @@ class QuotientTower(Tower):
         def inv_vec(a):
             return cmap[blvl.inv_vec(reps[a])]
 
-        lvl = Level(len(cosets), names, mul_vec, inv_vec,
+        lvl = Level(reps.size, names, mul_vec, inv_vec,
                     label=f"{self.label or 'quotient'}-level{k}")
         lvl.projection = cmap  # base level id -> coset id
         return lvl
@@ -710,28 +705,6 @@ class EtaReport:
         return doc
 
 
-def _roots_cols(level, target_ids):
-    """Boolean matrix R with R[h, j] true iff target j lies in <h>."""
-    n = level.n
-    T = len(target_ids)
-    R = np.zeros((n, T), dtype=bool)
-    tmap = np.full(n, -1, dtype=np.int64)
-    tmap[np.asarray(target_ids, dtype=np.int64)] = np.arange(T)
-    if tmap[0] >= 0:
-        R[:, tmap[0]] = True  # identity is a power of everything
-    act = np.arange(n, dtype=np.int64)
-    cur = act.copy()
-    while act.size:
-        t = tmap[cur]
-        hit = t >= 0
-        if hit.any():
-            R[act[hit], t[hit]] = True
-        cur = level.mul_vec(cur, act)
-        keep = cur != 0
-        act, cur = act[keep], cur[keep]
-    return R
-
-
 def _eta_engine(tower, names, max_level, window, member_cap):
     """Compute per-level eta for the named elements, with coherence checks."""
     if window < 1:
@@ -739,26 +712,22 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     names = list(names)
     k0 = tower.k0
     levels = {k: tower.level(k) for k in range(k0, max_level + 1)}
-    # eta vectors per level: cols[k] is (n_k, T) boolean, column j = eta(names[j])
-    cols = {}
+    # eta vectors per level: etas[k] is (T, n_k) boolean, row j = eta(names[j])
+    etas = {}
     present = {}
     for k in range(k0, max_level + 1):
         lvl = levels[k]
         ids = [lvl.id_of(nm) if lvl.has(nm) else -1 for nm in names]
         live = [j for j, i in enumerate(ids) if i >= 0]
-        R = _roots_cols(lvl, [ids[j] for j in live])
-        eta_vecs = ~R
         # an element is never in its own eta, nor is the identity of eta(identity)
-        full = np.zeros((lvl.n, len(names)), dtype=bool)
-        for col, j in enumerate(live):
-            full[:, j] = eta_vecs[:, col]
-        cols[k] = full
+        etas[k] = np.zeros((len(names), lvl.n), dtype=bool)
+        etas[k][live] = ~roots(lvl, [ids[j] for j in live]).T
         present[k] = set(live)
     for k in range(k0, max_level):
         emb = tower.embed_ids(k)
         shared = sorted(present[k] & present[k + 1])
         if shared:
-            if not np.array_equal(cols[k][:, shared], cols[k + 1][emb][:, shared]):
+            if not np.array_equal(etas[k][shared], etas[k + 1][shared][:, emb]):
                 raise CoherenceError(
                     f"eta at level {k} disagrees with its restriction from level {k + 1}")
     reports = {}
@@ -770,12 +739,12 @@ def _eta_engine(tower, names, max_level, window, member_cap):
         per_level = []
         sizes = {}
         for k in lives:
-            size = int(cols[k][:, j].sum())
+            size = int(etas[k][j].sum())
             sizes[k] = size
             members = None
             if size <= member_cap:
                 members = sorted(levels[k].names[int(i)]
-                                 for i in np.nonzero(cols[k][:, j])[0])
+                                 for i in np.flatnonzero(etas[k][j]))
             per_level.append(LevelEta(k, size, members))
         cert = None
         for k_star in range(birth, max_level - window + 1):
@@ -785,7 +754,7 @@ def _eta_engine(tower, names, max_level, window, member_cap):
         if cert is not None:
             k_star = cert[0]
             stable = sorted(levels[k_star].names[int(i)]
-                            for i in np.nonzero(cols[k_star][:, j])[0])
+                            for i in np.flatnonzero(etas[k_star][j]))
             reports[nm] = EtaReport(nm, tower.kind, per_level, True, cert, stable)
         else:
             reports[nm] = EtaReport(nm, tower.kind, per_level, False)
