@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .catalog import cyclic
 from .constructions import (
@@ -30,13 +32,13 @@ from .eta import (
     check_lemma31,
     check_lemma32,
     check_lemma39,
-    check_eta_automorphism_invariance,
     eta,
     k_finite,
     lemma38_decide,
     roots_matrix,
 )
 from .kernel import (
+    PRIME_BOUND,
     GroupError,
     closure,
     direct_product,
@@ -95,7 +97,6 @@ def _expect(ok, what):
 
 
 _POSITIVE = _expect(lambda v: _is_int(v) and v >= 1, "expected an integer >= 1")
-_PRIME = _expect(lambda v: _is_int(v) and is_prime(v), "expected a prime")
 _NAME = _expect(lambda v: isinstance(v, str), "expected an element name")
 _NAMES = _expect(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                  "expected a list of element names")
@@ -112,8 +113,14 @@ def _table_path(v, base_dir):
         return f"file not found: {v}"
 
 
+def _prime(v, base_dir):
+    if _is_int(v) and v >= PRIME_BOUND:
+        return f"expected a prime below {PRIME_BOUND} (got {v!r})"
+    return None if _is_int(v) and is_prime(v) else f"expected a prime (got {v!r})"
+
+
 def _odd_prime(v, base_dir):
-    return _PRIME(v, base_dir) or (
+    return _prime(v, base_dir) or (
         "must be odd (no nonabelian exponent-2 group)" if v == 2 else None)
 
 
@@ -182,16 +189,16 @@ KINDS = {
                                lambda left, right, **_: direct_product(left, right)),
     "heisenberg": SpecKind(False, {"p": _odd_prime}, lambda p, **_: heisenberg(p)),
     "cocycle_extension": SpecKind(
-        False, {"base": _GROUP, "p": _PRIME, "w": _MATRIX},
+        False, {"base": _GROUP, "p": _prime, "w": _MATRIX},
         lambda base, p, w, **_: central_extension(CocycleTable.of(base, p, w))),
     "tree_vw": SpecKind(False, {"depth": _DEPTH}, _tree_vw),
     "quotient": SpecKind(
         False, {"group": _GROUP, "normal": _NAMES},
         lambda group, normal, **_: quotient(
             group, closure(group, [group.id_of(nm) for nm in normal]))[0]),
-    "prufer_tower": SpecKind(True, {"p": _PRIME}, lambda p, **_: PruferTower(p)),
+    "prufer_tower": SpecKind(True, {"p": _prime}, lambda p, **_: PruferTower(p)),
     "t1_tower": SpecKind(
-        True, {"H": _GROUP, "p": _PRIME, "a_gen": _NAME},
+        True, {"H": _GROUP, "p": _prime, "a_gen": _NAME},
         lambda H, p, a_gen, label, **_: T1Tower(H, p, H.id_of(a_gen), label=label)),
     "t2_tower": SpecKind(
         True, {"base": Child(True, ("t1_tower", "prufer_tower"),
@@ -313,16 +320,21 @@ def _cmd_k_estimate(spec, flags, base_dir, spec_paths):
 
 
 def _lemma33_suite(G):
-    """Run the automorphism invariance check over all inner automorphisms."""
+    """Whether every inner automorphism fixing <a> fixes eta(a), for every a.
+
+    With R[h, g] true iff g lies in <h>, row a of R is <a> and column a the
+    roots of a, the complement of eta(a); a permutation fixes a set iff it
+    fixes its complement.
+    """
+    R = roots_matrix(G)
+    idx = np.arange(G.order)
     ok = True
     for h in G.elements():
-        hi = G.inv(h)
-        mapping = [G.mul(G.mul(hi, g), h) for g in G.elements()]
-        alpha = validate_automorphism(G, mapping)
-        for a in G.elements():
-            rep = check_eta_automorphism_invariance(G, a, alpha)
-            if any(x.status == "fail" for x in rep.assertions):
-                ok = False
+        P = G.mul_vec(G.mul_vec(G.inv(h), idx), h)  # g -> h^-1 g h
+        validate_automorphism(G, P.tolist())
+        fixes_cyclic = (R[:, P] == R).all(axis=1)
+        fixes_eta = (R[P, :] == R).all(axis=0)
+        ok = ok and not (fixes_cyclic & ~fixes_eta).any()
     return ok
 
 

@@ -3,6 +3,8 @@
 Element 0 is always the identity.  Tables are validated on construction:
 identity row/column, Latin square, uniqueness of names, and associativity.
 Associativity and homomorphism laws are checked exactly, by generators.
+Table files are read row by row into one int64 array and written from a
+lookup of index strings (format below).
 """
 
 from __future__ import annotations
@@ -549,10 +551,41 @@ def validate_automorphism(G, mapping):
     return Homomorphism.validated(G, G, m)
 
 
+# the least strong pseudoprime to all of _MR_BASES (Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p):
-    """Whether ``p`` is an integer prime, by trial division."""
-    return isinstance(p, numbers.Integral) and p >= 2 \
-        and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Whether ``p`` is an integer prime, for p below PRIME_BOUND.
+
+    Deterministic Miller-Rabin over the first 13 prime bases, which no
+    composite below PRIME_BOUND passes.  Larger p raise ValueError.
+    """
+    if not isinstance(p, numbers.Integral) or p < 2:
+        return False
+    p = int(p)
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND} (got {p})")
+    if p in _MR_BASES:
+        return True
+    if any(p % q == 0 for q in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_factors(n):
@@ -574,7 +607,8 @@ def prime_factors(n):
 #
 # UTF-8 text.  Line 1: order n.  Line 2: n whitespace-separated element names.
 # Then n rows of n indices, row-major table[i][j] = i*j.  Lines starting with
-# '#' are comments.
+# '#' are comments.  Entries are decimal integers in 0..n-1, read as int()
+# reads them; one that does not fit in int64 is reported as out of range.
 
 def loads_table(text, *, label=""):
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -586,19 +620,27 @@ def loads_table(text, *, label=""):
         raise TableFormatError(f"bad order line: {lines[0]!r}") from None
     if len(lines) != n + 2:
         raise TableFormatError(f"expected {n + 2} content lines, got {len(lines)}")
+    if n < 1:
+        raise TableFormatError("group order must be at least 1")
     names = lines[1].split()
     if len(names) != n:
         raise TableFormatError(f"expected {n} names, got {len(names)}")
-    rows = []
+    # n rows of n entries take at least n*n characters; a shorter text fails a
+    # row check below, so it is read into one reused row, not an n x n array
+    tab = np.empty((n if n * n <= len(text) else 1, n), dtype=np.int64)
     for i in range(n):
         row = lines[2 + i].split()
         if len(row) != n:
             raise TableFormatError(f"row {i} has {len(row)} entries, expected {n}")
+        dest = min(i, len(tab) - 1)
         try:
-            rows.append([int(x) for x in row])
+            try:
+                tab[dest] = row  # numpy reads each token with int()
+            except OverflowError:  # beyond int64; clamped, it stays out of range
+                tab[dest] = [min(max(int(x), -1), n) for x in row]
         except ValueError:
             raise TableFormatError(f"non-integer entry in row {i}") from None
-    return FiniteGroupTable(rows, names, label=label)
+    return FiniteGroupTable(tab, names, label=label)
 
 
 def load_table(path):
@@ -607,9 +649,9 @@ def load_table(path):
 
 
 def dumps_table(G):
+    digits = np.array([str(i) for i in range(G.order)], dtype=object)
     lines = [str(G.order), " ".join(G.names)]
-    for i in range(G.order):
-        lines.append(" ".join(str(int(x)) for x in G.table[i]))
+    lines += [" ".join(digits[row]) for row in G.table]
     return "\n".join(lines) + "\n"
 
 
