@@ -269,9 +269,20 @@ class Homomorphism:
 def power_vec(G, x, e):
     """x^e for index arrays x and exponents e >= 0 that broadcast together.
 
-    Binary exponentiation (Knuth, TAOCP vol. 2, 4.6.3): two ``mul_vec``
-    calls per bit of max(e), the squarings over x alone.
+    A group with a closed form for powers (every tower level) answers
+    through its ``pow_vec``: a few gathers, no ``mul_vec`` calls.  Any other
+    group, tables included, takes ``binary_power_vec``.
     """
+    x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)
+    closed = getattr(G, "pow_vec", None)
+    if closed is not None:
+        return closed(x, e)
+    return binary_power_vec(G, x, e)
+
+
+def binary_power_vec(G, x, e):
+    """x^e by binary exponentiation (Knuth, TAOCP vol. 2, 4.6.3): two
+    ``mul_vec`` calls per bit of max(e), the squarings over x alone."""
     x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)
     out = np.zeros(np.broadcast_shapes(x.shape, e.shape), dtype=np.int64)
     for i in range(int(e.max(initial=0)).bit_length()):
@@ -326,26 +337,40 @@ def _cyclic_keys(G, targets):
     return key
 
 
-def roots(G, targets):
-    """Boolean matrix R with R[h, j] true iff targets[j] lies in <h>.
+def root_images(G, targets):
+    """The data every roots question over ``targets`` is read from: (ds, col_of, key, P).
 
-    g lies in <h> iff d = ord g divides ord h and h^(ord h / d) generates
-    <g>.  With cyclic subgroups keyed by their least generator, one power
-    for all distinct target orders d and one compare per d decide R.
+    ``ds`` holds the distinct target orders, and targets[j] has order
+    ds[col_of[j]].  ``key`` is ``_cyclic_keys``.  P is the n x D matrix whose
+    column i holds h^(ord h / ds[i]) where ds[i] divides ord h, and the
+    identity elsewhere.  g lies in <h> iff d = ord g divides ord h and
+    h^(ord h / d) generates <g>, so targets[j] lies in <h> iff
+    key[P[h, col_of[j]]] == key[targets[j]]; the identity's key 0 matches
+    only the identity's.
     """
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     orders = G.orders
     ds, col_of = np.unique(orders[targets], return_inverse=True)
     key = _cyclic_keys(G, targets)
-    # column d: h^(ord h / d) where d divides ord h, else h^0, the identity,
-    # whose key 0 matches only the identity's
     e, rem = np.divmod(orders[:, None], ds)
-    root_key = key[power_vec(G, np.arange(orders.size)[:, None],
-                             np.where(rem == 0, e % orders[:, None], 0))]
-    RT = np.empty((targets.size, orders.size), dtype=bool)  # filled a target order at a time
+    P = power_vec(G, np.arange(orders.size)[:, None],
+                  np.where(rem == 0, e % orders[:, None], 0))
+    return ds, col_of, key, P
+
+
+def roots(G, targets):
+    """Boolean matrix R with R[h, j] true iff targets[j] lies in <h>, read
+    from ``root_images`` one target order at a time.
+
+    R is n x T; the tower eta engine, with T in the hundreds, reads
+    ``root_images`` itself and stays n x D.
+    """
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    ds, col_of, key, P = root_images(G, targets)
+    RT = np.empty((targets.size, P.shape[0]), dtype=bool)
     for i in range(ds.size):
         cols = np.flatnonzero(col_of == i)
-        RT[cols] = key[targets[cols]][:, None] == root_key[:, i]
+        RT[cols] = key[targets[cols]][:, None] == key[P[:, i]]
     return RT.T
 
 

@@ -21,6 +21,7 @@ from .kernel import (
     GroupError,
     Homomorphism,
     InvalidElementError,
+    binary_power_vec,
     center,
     closure,
     element_orders,
@@ -31,7 +32,7 @@ from .kernel import (
     power,
     power_vec,
     prime_factors,
-    roots,
+    root_images,
 )
 
 DEFAULT_MAX_LEVEL = 8
@@ -119,13 +120,18 @@ def prufer_names(p, k):
 # levels
 
 class Level:
-    """One finite level of a tower: named elements with vectorized arithmetic."""
+    """One finite level of a tower: named elements with vectorized arithmetic.
 
-    def __init__(self, n, names, mul_vec, inv_vec, label=""):
+    ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays of one
+    shape; without it, powers are taken by binary exponentiation.
+    """
+
+    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None):
         self.n = n
         self.names = names
         self._mul_vec = mul_vec
         self._inv_vec = inv_vec
+        self._pow_vec = pow_vec
         self.label = label
         self._index = None
         self._group = None
@@ -155,6 +161,13 @@ class Level:
 
     def inv_vec(self, a):
         return self._inv_vec(np.asarray(a, dtype=np.int64))
+
+    def pow_vec(self, x, e):
+        """x^e for index arrays x and exponents e >= 0 that broadcast together."""
+        if self._pow_vec is None:
+            return binary_power_vec(self, x, e)
+        x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
+        return self._pow_vec(x, e)
 
     def mul(self, a, b):
         return int(self.mul_vec(a, b))
@@ -218,7 +231,9 @@ class Tower:
                                   dtype=np.int64, count=src.n)
             except InvalidElementError as exc:
                 raise TowerError(f"embedding broken at level {k}: {exc}") from exc
-            if len(set(emb.tolist())) != src.n:
+            hit = np.zeros(tgt.n, dtype=bool)
+            hit[emb] = True
+            if np.count_nonzero(hit) != src.n:
                 raise TowerError(f"embedding at level {k} is not injective")
             if hom_witness(src, tgt, emb) is not None:
                 raise TowerError(f"embedding at level {k} is not a homomorphism")
@@ -272,7 +287,8 @@ class PruferTower(Tower):
         return Level(n, prufer_names(p, k),
                      lambda a, b, n=n: (a + b) % n,
                      lambda a, n=n: (-a) % n,
-                     label=f"prufer-{p}^{k}")
+                     label=f"prufer-{p}^{k}",
+                     pow_vec=lambda a, e, n=n: a * (e % n) % n)
 
     def c_involution_name(self):
         if self.p != 2:
@@ -346,6 +362,14 @@ class T1Tower(Tower):
         self.dec_t = dec_t
         self.dec_j = dec_j
         self.t_count = len(reps)
+        self.Hinv = np.argmin(H.table, axis=1)  # the column holding the identity in each row
+        # rep_pow[t, j] = reps[t]^j for j below the rep's order, by walks in H
+        self.rep_order = H.orders[self.reps]
+        self.rep_pow = np.zeros((self.t_count, int(self.rep_order.max())), dtype=np.int64)
+        cur = np.zeros(self.t_count, dtype=np.int64)
+        for j in range(1, self.rep_pow.shape[1]):
+            cur = H.table[cur, self.reps]
+            self.rep_pow[:, j] = cur
 
     @property
     def k0(self):
@@ -355,9 +379,9 @@ class T1Tower(Tower):
         p, n = self.p, self.n
         ck = p ** k
         u = p ** (k - n)
-        Ht = self.H.table
-        Hinv = np.array([self.H.inv(h) for h in range(self.H.order)], dtype=np.int64)
+        Ht, Hinv = self.H.table, self.Hinv
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
+        rep_pow, rep_order = self.rep_pow, self.rep_order
         c_names = prufer_names(p, k)
         names = [f"{self.H.names[r]}.{nm}" for r in reps for nm in c_names]
 
@@ -372,8 +396,15 @@ class T1Tower(Tower):
             hi = Hinv[reps[t]]
             return dec_t[hi] * ck + (dec_j[hi] * u - m) % ck
 
+        def pow_vec(a, e):
+            # c is central, so (r c^m)^e = r^e c^(e m); and r^e, read from
+            # rep_pow, is reps[dec_t] a^dec_j with a = c^u
+            t, m = np.divmod(a, ck)
+            h = rep_pow[t, e % rep_order[t]]
+            return dec_t[h] * ck + ((e % ck) * m + dec_j[h] * u) % ck
+
         lvl = Level(self.t_count * ck, names, mul_vec, inv_vec,
-                    label=f"{self.label or 't1'}-level{k}")
+                    label=f"{self.label or 't1'}-level{k}", pow_vec=pow_vec)
         assert lvl.n == self.H.order * ck // (p ** n)
         return lvl
 
@@ -493,9 +524,20 @@ class T2Tower(Tower):
             twisted = blvl.mul_vec(blvl.inv_vec(alpha[g]), np.int64(y_inv))
             return e * nb + np.where(e == 1, twisted, plain)
 
+        def pow_vec(a, e):
+            # (x g)^e = ((x g)^2)^(e // 2) (x g)^(e % 2), and (x g)^2 lies in the base
+            coset = a >= nb
+            g, half = a.copy(), e.copy()
+            g[coset] = mul_vec(a[coset], a[coset])
+            half[coset] //= 2
+            out = blvl.pow_vec(g, half)
+            tail = coset & (e % 2 == 1)
+            out[tail] = mul_vec(out[tail], a[tail])
+            return out
+
         names = list(blvl.names) + [f"x.{nm}" for nm in blvl.names]
         return Level(2 * nb, names, mul_vec, inv_vec,
-                     label=f"{self.label or 't2'}-level{k}")
+                     label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec)
 
     def _check_conditions(self, blvl, alpha, y_id, a_id, k):
         nb = blvl.n
@@ -563,9 +605,16 @@ class QuaternionTower(Tower):
             e, m = np.divmod(a, ck)
             return e * ck + np.where(e == 1, (m + half) % ck, (-m) % ck)
 
+        def pow_vec(a, e):
+            # c^e = e m on C; every x c^m squares to the involution half, so
+            # its powers run x c^m, half, x c^(m + half), 1 with period 4
+            e1, m = np.divmod(a, ck)
+            coset = np.choose(e % 4, (0, a, half, ck + (m + half) % ck))
+            return np.where(e1 == 1, coset, m * (e % ck) % ck)
+
         c_names = prufer_names(2, k)
         return Level(2 * ck, c_names + [f"x.{nm}" for nm in c_names], mul_vec, inv_vec,
-                     label=f"Q{2 ** (k + 1)}")
+                     label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec)
 
     def c_names(self, k):
         return self.level(k).names[: 2 ** k]
@@ -650,8 +699,11 @@ class QuotientTower(Tower):
         def inv_vec(a):
             return cmap[blvl.inv_vec(reps[a])]
 
+        def pow_vec(a, e):
+            return cmap[blvl.pow_vec(reps[a], e)]
+
         lvl = Level(reps.size, names, mul_vec, inv_vec,
-                    label=f"{self.label or 'quotient'}-level{k}")
+                    label=f"{self.label or 'quotient'}-level{k}", pow_vec=pow_vec)
         lvl.projection = cmap  # base level id -> coset id
         return lvl
 
@@ -705,59 +757,119 @@ class EtaReport:
         return doc
 
 
+@dataclass
+class _LevelRoots:
+    """One level of the eta stream: its live targets and their ``root_images``."""
+
+    level: Level
+    live: np.ndarray  # positions, in the engine's name list, of the names present
+    ids: np.ndarray   # their element ids at this level
+    ds: np.ndarray
+    col_of: np.ndarray
+    key: np.ndarray
+    P: np.ndarray
+
+    @classmethod
+    def of(cls, lvl, names):
+        live = np.array([j for j, nm in enumerate(names) if lvl.has(nm)], dtype=np.int64)
+        ids = np.array([lvl.id_of(names[j]) for j in live], dtype=np.int64)
+        return cls(lvl, live, ids, *root_images(lvl, ids))
+
+
+def _keys_inject(a, b, nb):
+    """Whether a[x] = a[y] iff b[x] = b[y], for every x with a[x] >= 0 and every y.
+
+    That is: x -> b[x] is a well-defined injection on the classes of ``a``'s
+    nonnegative keys, and no x outside them reaches one of its values.
+    ``b`` takes values in -1 .. nb - 1.
+    """
+    keyed = a >= 0
+    img = np.full(a.size, -2, dtype=np.int64)
+    img[a[keyed]] = b[keyed]
+    src = np.full(nb + 1, -2, dtype=np.int64)
+    src[b[keyed] + 1] = a[keyed]
+    return (np.array_equal(img[a[keyed]], b[keyed])
+            and np.array_equal(src[b + 1], np.where(keyed, a, -2)))
+
+
+def _check_coherence(k, emb, lo, hi):
+    """Raise CoherenceError unless, for every target present at levels k and k + 1,
+    eta at level k is eta at level k + 1 restricted along ``emb``.
+
+    Exact, in n_k x D form.  With g_k, g_(k+1) a target's ids, d its order
+    and P the power images of ``root_images``, the checks are: emb(g_k) =
+    g_(k+1); ord(emb h) = ord h; emb(P_k[h, d]) = P_(k+1)[emb h, d] on the
+    orders both levels hold; and key_k -> key_(k+1)(emb) is a well-defined
+    injection (``_keys_inject``).  Then g_k in <h>, which is key_k(P_k[h, d])
+    = key_k(g_k), holds iff key_(k+1)(emb P_k[h, d]) = key_(k+1)(emb g_k),
+    which is g_(k+1) in <emb h>.  An injective homomorphism satisfies all
+    four on correct root images.
+    """
+    _, a, b = np.intersect1d(lo.live, hi.live, assume_unique=True, return_indices=True)
+    if not a.size:
+        return
+    ok = (np.array_equal(emb[lo.ids[a]], hi.ids[b])
+          and np.array_equal(hi.level.orders[emb], lo.level.orders))
+    if ok:
+        _, i_lo, i_hi = np.intersect1d(lo.ds, hi.ds, assume_unique=True, return_indices=True)
+        ok = all(np.array_equal(emb[lo.P[:, i]], hi.P[emb, j]) for i, j in zip(i_lo, i_hi))
+    if not (ok and _keys_inject(lo.key, hi.key[emb], hi.level.n)):
+        raise CoherenceError(
+            f"eta at level {k} disagrees with its restriction from level {k + 1}")
+
+
 def _eta_engine(tower, names, max_level, window, member_cap):
-    """Compute per-level eta for the named elements, with coherence checks."""
+    """Per-level eta for the named elements, with coherence checks, streamed by levels.
+
+    eta(g) is the complement of the roots of g.  A level is held as
+    ``root_images`` of its targets, n x D with D distinct target orders, so
+    one ``np.bincount`` of the keys of a column counts the roots of every
+    target of that order.  Member lists come from one column.  The root
+    images of only two levels, k and k + 1, are held at once: after
+    ``_check_coherence`` and equal sizes, the eta sets of a window agree by
+    name, so a certificate's stable set is read at the last level of its
+    window.
+    """
     if window < 1:
         raise TowerError(f"window must be >= 1, got {window}")
     names = list(names)
     k0 = tower.k0
-    levels = {k: tower.level(k) for k in range(k0, max_level + 1)}
-    # eta vectors per level: etas[k] is (T, n_k) boolean, row j = eta(names[j])
-    etas = {}
-    present = {}
-    for k in range(k0, max_level + 1):
-        lvl = levels[k]
-        ids = [lvl.id_of(nm) if lvl.has(nm) else -1 for nm in names]
-        live = [j for j, i in enumerate(ids) if i >= 0]
-        # an element is never in its own eta, nor is the identity of eta(identity)
-        etas[k] = np.zeros((len(names), lvl.n), dtype=bool)
-        etas[k][live] = ~roots(lvl, [ids[j] for j in live]).T
-        present[k] = set(live)
-    for k in range(k0, max_level):
-        emb = tower.embed_ids(k)
-        shared = sorted(present[k] & present[k + 1])
-        if shared:
-            if not np.array_equal(etas[k][shared], etas[k + 1][shared][:, emb]):
-                raise CoherenceError(
-                    f"eta at level {k} disagrees with its restriction from level {k + 1}")
+    # every level is built before any is embedded, so a level that fails to
+    # build is reported ahead of an embedding fault below it
+    levels = [tower.level(k) for k in range(k0, max_level + 1)]
+    sizes = [{} for _ in names]  # sizes[j][k] = |eta(names[j])| at level k
+    per_level = [[] for _ in names]
+    certs = {}  # j -> (certificate, stable set)
+    lo = None
+    for k, lvl in enumerate(levels, k0):
+        hi = _LevelRoots.of(lvl, names)
+        if lo is not None:
+            _check_coherence(k - 1, tower.embed_ids(k - 1), lo, hi)
+        lo = hi
+        for i in range(hi.ds.size):
+            kp = hi.key[hi.P[:, i]] + 1  # shifted keys of the power images, -1 -> 0
+            counts = np.bincount(kp, minlength=lvl.n + 1)
+            at = np.flatnonzero(hi.col_of == i)
+            for j, kg in zip(hi.live[at].tolist(), (hi.key[hi.ids[at]] + 1).tolist()):
+                size = lvl.n - int(counts[kg])
+                sizes[j][k] = size
+                k_star = k - window
+                certified = (j not in certs and k_star in sizes[j]
+                             and all(sizes[j][k_star + w] == size for w in range(window)))
+                eta = None
+                if size <= member_cap or certified:
+                    eta = sorted(lvl.names[x] for x in np.flatnonzero(kp != kg).tolist())
+                per_level[j].append(LevelEta(k, size, eta if size <= member_cap else None))
+                if certified:
+                    certs[j] = ((k_star, window), eta)
     reports = {}
     for j, nm in enumerate(names):
-        lives = sorted(k for k in range(k0, max_level + 1) if j in present[k])
-        if not lives:
+        if not per_level[j]:
             raise InvalidElementError(f"element {nm!r} not born by level {max_level}")
-        birth = lives[0]
-        per_level = []
-        sizes = {}
-        for k in lives:
-            size = int(etas[k][j].sum())
-            sizes[k] = size
-            members = None
-            if size <= member_cap:
-                members = sorted(levels[k].names[int(i)]
-                                 for i in np.flatnonzero(etas[k][j]))
-            per_level.append(LevelEta(k, size, members))
-        cert = None
-        for k_star in range(birth, max_level - window + 1):
-            if all(sizes[k_star + i] == sizes[k_star] for i in range(window + 1)):
-                cert = (k_star, window)
-                break
-        if cert is not None:
-            k_star = cert[0]
-            stable = sorted(levels[k_star].names[int(i)]
-                            for i in np.flatnonzero(etas[k_star][j]))
-            reports[nm] = EtaReport(nm, tower.kind, per_level, True, cert, stable)
+        if j in certs:
+            reports[nm] = EtaReport(nm, tower.kind, per_level[j], True, *certs[j])
         else:
-            reports[nm] = EtaReport(nm, tower.kind, per_level, False)
+            reports[nm] = EtaReport(nm, tower.kind, per_level[j], False)
     return reports
 
 

@@ -1,0 +1,125 @@
+"""Closed-form powers on tower levels against binary exponentiation.
+
+Every tower kind gives its levels a ``pow_vec``: e m mod p^k on Prüfer
+levels, the power table of H on central amalgams, a period-4 pattern on the
+quaternion x-coset, ((x g)^2)^(e // 2) (x g)^(e % 2) on inverting
+extensions, and the base power of the coset reps on quotients.  The
+reference here squares and multiplies with the level's own ``mul_vec``.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rootsets.cli import KINDS, build_tower, parse_spec
+from rootsets.kernel import element_orders, power_vec, roots
+from rootsets.towers import Level
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+MAX_ORDER = 2 ** 17
+
+
+def tower_specs():
+    for path in sorted(SPECS.glob("*.json")):
+        spec = parse_spec(path.read_text(encoding="utf-8"), SPECS)
+        if KINDS[spec.kind].tower:
+            yield path.stem, spec
+
+
+TOWER_SPECS = dict(tower_specs())
+
+
+def tower(name):
+    return build_tower(TOWER_SPECS[name], SPECS)
+
+
+def binary_power(lvl, x, e):
+    """x^e by squaring and multiplying with lvl.mul_vec, one bit of e at a time."""
+    x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
+    out = np.zeros(x.shape, dtype=np.int64)
+    base, e = x.copy(), e.copy()
+    while e.any():
+        odd = e & 1 == 1
+        out = np.where(odd, lvl.mul_vec(out, base), out)
+        base = lvl.mul_vec(base, base)
+        e = e >> 1
+    return out
+
+
+def test_the_bundled_towers_are_the_five_kinds():
+    assert sorted(TOWER_SPECS) == ["heis_t1", "prufer2", "quat", "quot", "t2"]
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_SPECS))
+def test_pow_vec_matches_binary_powers_on_every_level(name):
+    t = tower(name)
+    for k in range(t.k0, t.k0 + 18):
+        lvl = t.level(k)
+        if lvl.n > MAX_ORDER:
+            break
+        x = np.arange(lvl.n, dtype=np.int64)
+        # multiples of the order, one past them, and a spread over 0 .. 3n + 1
+        for e in (lvl.orders, lvl.orders + 1, x * 7919 % (3 * lvl.n + 2)):
+            assert np.array_equal(lvl.pow_vec(x, e), binary_power(lvl, x, e)), (name, k)
+        # (n, 1) against (D,), as root_images asks
+        e = np.array([0, 1, 2, 3, 8, 81])
+        assert np.array_equal(lvl.pow_vec(x[:, None], e), binary_power(lvl, x[:, None], e))
+        if 2 * lvl.n > MAX_ORDER:  # levels at least double: the next one is out of range
+            break
+    assert k > t.k0 + 3
+
+
+LEVELS = {name: [tower(name).level(k) for k in ks]
+          for name, ks in (("heis_t1", (1, 3)), ("prufer2", (1, 5)), ("quat", (2, 6)),
+                           ("quot", (2, 5)), ("t2", (2, 5)))}
+
+
+@st.composite
+def powers(draw):
+    """A level of a bundled tower and (x, e) pairs on it."""
+    lvl = draw(st.sampled_from([lvl for lvls in LEVELS.values() for lvl in lvls]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = draw(st.integers(0, lvl.n - 1))
+        order = int(lvl.orders[x])
+        e = draw(st.one_of(
+            st.just(0),
+            st.integers(0, 4 * lvl.n),               # e >= n included
+            st.integers(0, 50).map(lambda m: m * order),  # multiples of the order
+            st.integers(0, 50).map(lambda m: m * order + 1),
+            st.integers(0, 2 ** 40)))
+        pairs.append((x, e))
+    return lvl, pairs
+
+
+@settings(deadline=None, max_examples=150)
+@given(powers())
+def test_pow_vec_matches_binary_powers_on_drawn_pairs(case):
+    lvl, pairs = case
+    x, e = map(np.array, zip(*pairs))
+    got = lvl.pow_vec(x, e)
+    assert np.array_equal(got, binary_power(lvl, x, e))
+    assert np.array_equal(power_vec(lvl, x, e), got)
+
+
+def test_levels_without_a_closed_form_use_binary_powers():
+    n = 96
+    lvl = Level(n, [str(i) for i in range(n)], lambda a, b: (a + b) % n, lambda a: (-a) % n)
+    x = np.arange(n)
+    assert np.array_equal(power_vec(lvl, x, 7), 7 * x % n)
+    assert np.array_equal(lvl.pow_vec(x[:, None], [0, 5]), np.stack([0 * x, 5 * x % n], 1))
+
+
+@pytest.mark.parametrize("name", ["prufer2", "quat"])
+def test_orders_and_roots_take_no_mul_vec_calls(name, monkeypatch):
+    lvl = tower(name).level(12)
+    calls = []
+    mul_vec = Level.mul_vec
+    monkeypatch.setattr(Level, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
+    orders = element_orders(lvl)
+    R = roots(lvl, np.arange(0, lvl.n, 37))
+    assert calls == []  # binary powers took about 2 log2(exponent) calls each
+    assert orders.max() == 2 ** 12
+    assert R.shape == (lvl.n, len(range(0, lvl.n, 37))) and R[:, 0].all()

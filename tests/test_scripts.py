@@ -1,0 +1,58 @@
+"""Smoke tests for the runnable experiments in scripts/, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# eta_growth_sweep.py specs/quat.json --max-level 6, as the T x n engine printed it
+QUAT_SWEEP = """\
+tower=quat  kind=quaternion  birth-level=4  window=2
+element             L2      L3      L4      L5      L6
+------------------------------------------------------
+* 0                  0       0       0       0       0
+* 1/2                1       1       1       1       1
+  1/16               -       -      24      40      72
+  1/4                6      10      18      34      66
+  1/8                -      12      20      36      68
+  11/16              -       -      24      40      72
+  13/16              -       -      24      40      72
+  15/16              -       -      24      40      72
+  3/16               -       -      24      40      72
+  3/4                6      10      18      34      66
+  3/8                -      12      20      36      68
+  5/16               -       -      24      40      72
+  5/8                -      12      20      36      68
+  7/16               -       -      24      40      72
+
+* stabilized (2 total); growing: 30; undetermined: 0
+theory [K = <a> (unique involution)]: agrees
+"""
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("eta_growth_sweep.py", ["specs/t2.json", "--max-level", "5", "--limit", "3"]),
+    ("cocycle_census.py", ["--base", "z4"]),
+    ("tree_depth_profile.py", ["--max-depth", "3", "--samples", "20"]),
+])
+def test_script_runs(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_eta_growth_sweep_output_is_unchanged():
+    proc = run_script("eta_growth_sweep.py", "specs/quat.json", "--max-level", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == QUAT_SWEEP
