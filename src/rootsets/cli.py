@@ -195,7 +195,7 @@ KINDS = {
     "quotient": SpecKind(
         False, {"group": _GROUP, "normal": _NAMES},
         lambda group, normal, **_: quotient(
-            group, closure(group, [group.id_of(nm) for nm in normal]))[0]),
+            group, closure(group, [group.id_of(nm) for nm in normal]))[0].group()),
     "prufer_tower": SpecKind(True, {"p": _prime}, lambda p, **_: PruferTower(p)),
     "t1_tower": SpecKind(
         True, {"H": _GROUP, "p": _prime, "a_gen": _NAME},

@@ -19,8 +19,8 @@ from .kernel import (
     closure,
     commutator,
     derived_subgroup,
+    _row_blocks,
     is_prime,
-    order_of,
     order_profile,
     power,
     quotient,
@@ -255,66 +255,84 @@ class TreeVWSpec:
         v2, w2 = b >> nw, b & ((1 << nw) - 1)
         return ((v1 ^ v2) << nw) | (w1 ^ w2 ^ self.gamma(v1, v2))
 
+    def gamma_vec(self, v1, v2):
+        """``gamma`` on index arrays: one XOR per nonzero basis value, over
+        the bit planes of v1 and v2."""
+        acc = np.zeros(np.broadcast_shapes(np.shape(v1), np.shape(v2)), dtype=np.int64)
+        planes = [((v2 >> j) & 1).astype(bool) for j in range(self.v_dim)]
+        for i, row in enumerate(self.gamma_bits):
+            bit = ((v1 >> i) & 1).astype(bool)
+            for w, plane in zip(row, planes):
+                if w:
+                    acc ^= (bit & plane) * w
+        return acc
+
+    def mul_vec(self, a, b):
+        nw = self.w_dim
+        return a ^ b ^ self.gamma_vec(a >> nw, b >> nw)
+
+    def inv_vec(self, a):
+        """(v, w)^-1 = (v, w + gamma(v, v)), since (v, w)(v, w') = (0, w + w' + gamma(v, v))."""
+        v = a >> self.w_dim
+        return a ^ self.gamma_vec(v, v)
+
     def element_name(self, g):
         nw = self.w_dim
         return f"v{g >> nw}.w{g & ((1 << nw) - 1)}"
 
 
-TREE_TABLE_DEPTH = 2  # deeper trees stay oracle groups
+TREE_TABLE_DEPTH = 2  # deeper trees are not materialized as tables
+TREE_ENUM_DEPTH = 3  # depth 4 has 2^31 elements, too many to name or enumerate
 
 
 def tree_vw_group(depth):
-    """The class-2 nilpotent 2-group on V x W coordinates.
+    """The class-2 nilpotent 2-group on V x W coordinates, on ``TreeVWSpec.mul_vec``.
 
-    Depths 1 and 2 are materialized (and their class-2 and squaring laws
-    verified exhaustively); depths 3 and 4 are multiplication oracles.
+    Depths 1 and 2 are materialized as tables, and their class-2 and
+    squaring laws verified exhaustively; depth 3 is an OracleGroup.
     """
     spec = TreeVWSpec.build(depth)
+    if depth > TREE_ENUM_DEPTH:
+        raise GroupError(f"tree depth {depth} has order 2^{spec.v_dim + spec.w_dim}, "
+                         f"too many elements to name; depths 1..{TREE_ENUM_DEPTH} build groups")
+    n = spec.group_order
+    G = OracleGroup(n, [spec.element_name(g) for g in range(n)], spec.mul_vec, spec.inv_vec,
+                    label=f"treeVW-d{depth}")
     if depth <= TREE_TABLE_DEPTH:
-        n = spec.group_order
-        table = [[spec.mul(a, b) for b in range(n)] for a in range(n)]
-        G = FiniteGroupTable(table, [spec.element_name(g) for g in range(n)],
-                             label=f"treeVW-d{depth}")
-        nw = spec.w_dim
-        wmask = (1 << nw) - 1
-        for g in range(n):
-            sq = G.mul(g, g)
-            if sq != spec.gamma(g >> nw, g >> nw):
-                raise GroupError(f"squaring law fails at {G.names[g]}")
-        der = derived_subgroup(G)
-        cen = set(center(G))
-        if not all(d <= wmask for d in der) or not set(der) <= cen:
+        G = G.group()
+        v = np.arange(n, dtype=np.int64) >> spec.w_dim
+        bad = np.flatnonzero(np.diagonal(G.table) != spec.gamma_vec(v, v))
+        if bad.size:
+            raise GroupError(f"squaring law fails at {G.names[bad[0]]}")
+        der = list(derived_subgroup(G))
+        if max(der) >> spec.w_dim or not set(der) <= set(center(G)):
             raise GroupError("group is not class 2 with derived subgroup in W")
-    else:
-        G = OracleGroup(spec.group_order, spec.mul,
-                        name_of=spec.element_name, label=f"treeVW-d{depth}")
     G.tree_spec = spec
     return G
 
 
 def omega1_census(depth):
-    """Count involutions of the tree group and compare against the W part."""
-    if depth > 3:
+    """Count involutions of the tree group, by its law ``TreeVWSpec.mul_vec``,
+    and compare against the W part."""
+    if depth > TREE_ENUM_DEPTH:
         raise GroupError("census needs full enumeration; depth 4 (order 2^31) "
                          "is out of reach, use sampling instead")
-    G = tree_vw_group(depth)
-    spec = G.tree_spec
+    spec = TreeVWSpec.build(depth)
     nw = spec.w_dim
     rep = CheckReport(f"order-2 census of treeVW depth {depth}")
-    involutions = [g for g in range(G.order) if g != 0 and G.mul(g, g) == 0]
-    w_part = set(range(1, 1 << nw))
-    rep.add("involutions-are-exactly-nonzero-W", set(involutions) == w_part,
-            sorted(set(involutions) ^ w_part)[:5] or None)
-    omega = set(involutions) | {0}
-    closed = all(G.mul(a, b) in omega for a in omega for b in omega)
-    rep.add("omega1-closed", closed)
+    x = np.arange(spec.group_order, dtype=np.int64)
+    omega = np.flatnonzero(spec.mul_vec(x, x) == 0)  # the identity and the involutions
+    involutions = omega[1:]
+    diff = np.setxor1d(involutions, np.arange(1, 1 << nw)).tolist()
+    rep.add("involutions-are-exactly-nonzero-W", not diff, diff[:5] or None)
+    rep.add("omega1-closed", bool(np.isin(spec.mul_vec(omega[:, None], omega), omega).all()))
     rep.result = {
-        "group_order": G.order,
-        "involutions": len(involutions),
-        "omega1_order": len(omega),
+        "group_order": spec.group_order,
+        "involutions": int(involutions.size),
+        "omega1_order": int(omega.size),
         "expected_omega1_order": 1 << nw,
     }
-    rep.add("omega1-order-matches", len(omega) == 1 << nw)
+    rep.add("omega1-order-matches", omega.size == 1 << nw)
     return rep
 
 
@@ -322,30 +340,29 @@ def check_class2_squaring(G):
     """Verify the class-2 squaring identity (xy)^2 = x^2 y^2 [x,y] on all pairs.
 
     Hypotheses (class at most 2, derived subgroup of exponent dividing 2) are
-    checked first; failure is reported, not raised.
+    checked first; failure is reported, not raised.  The witness is the first
+    failing pair in row-major order.
     """
     rep = CheckReport(f"class-2 squaring on {G.label or 'group'}")
-    der = derived_subgroup(G)
-    cen = set(center(G))
-    if not set(der) <= cen:
+    der = list(derived_subgroup(G))
+    if not set(der) <= set(center(G)):
         rep.add_hypothesis_failure("derived-subgroup-central")
         return rep
-    der_exp = max(order_of(G, d) for d in der)
+    der_exp = int(G.orders[der].max())
     if der_exp > 2:
         rep.add_hypothesis_failure("derived-exponent-divides-2", der_exp)
         return rep
-    ok, wit = True, None
-    for x in G.elements():
-        x2 = G.mul(x, x)
-        for y in G.elements():
-            lhs = G.mul(G.mul(x, y), G.mul(x, y))
-            rhs = G.mul(G.mul(x2, G.mul(y, y)), commutator(G, x, y))
-            if lhs != rhs:
-                ok, wit = False, (G.names[x], G.names[y])
-                break
-        if not ok:
+    x = np.arange(G.order, dtype=np.int64)
+    sq = G.mul_vec(x, x)
+    wit = None
+    for rows in _row_blocks(G.order, G.order):
+        xy = G.mul_vec(x[rows, None], x)
+        rhs = G.mul_vec(G.mul_vec(sq[rows, None], sq), commutator(G, x[rows, None], x))
+        bad = np.argwhere(G.mul_vec(xy, xy) != rhs)
+        if bad.size:
+            wit = (G.names[rows.start + bad[0, 0]], G.names[bad[0, 1]])
             break
-    rep.add("squaring-identity", ok, wit)
+    rep.add("squaring-identity", wit is None, wit)
     return rep
 
 
@@ -378,7 +395,7 @@ class ReductionStep:
 @dataclass
 class ReductionTrace:
     steps: list
-    section: FiniteGroupTable
+    section: OracleGroup
     section_profile: dict
     recognizer_passed: bool
     eta_trivial: bool
@@ -406,28 +423,30 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
     Follows the halving recursion: z = x^m * a2 with a2 of order 4 in the
     quasicyclic part; an odd m yields the section <z, C> directly, an even m
     quotients <x, C> by the fourgroup {1, z, za, a} and halves m.  The trace
-    has one step per halving plus the final odd step.
+    has one step per halving plus the final odd step.  It runs on the level
+    itself: sections and quotients are OracleGroups through its ``mul_vec``,
+    and no Cayley table is built.
     """
     if not isinstance(tower, Tower) or not hasattr(tower, "x_name"):
         raise TowerError("quaternion reduction needs an index-2 inverting tower")
-    lvl = tower.level(level)
-    G = lvl.group()
+    G = tower.level(level)
     x = G.id_of(tower.x_name)
-    C = [G.id_of(nm) for nm in tower.c_names(level)]
+    C = np.array([G.id_of(nm) for nm in tower.c_names(level)], dtype=np.int64)
     m = tower.m
     steps = []
     while True:
-        invols = [c for c in C if order_of(G, c) == 2]
-        if len(invols) != 1:
+        orders = G.orders[C]
+        invols = C[orders == 2]
+        if invols.size != 1:
             raise RelationFailed(
-                f"expected a unique involution in the C part, found {len(invols)}")
-        a_cur = invols[0]
-        order4 = [c for c in C if order_of(G, c) == 4]
-        if not order4:
+                f"expected a unique involution in the C part, found {invols.size}")
+        a_cur = int(invols[0])
+        order4 = C[orders == 4]
+        if not order4.size:
             raise LevelTooSmallError(
                 f"no element of order 4 in the C part at this stage "
                 f"(level {level} too small for m = {tower.m})")
-        a2 = min(order4)
+        a2 = int(order4.min())
         z = G.mul(power(G, x, m), a2)
         z2 = G.mul(z, z)
         expect = a_cur if m % 2 else 0
@@ -436,12 +455,11 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
                 f"z^2 = {G.names[z2]}, expected {G.names[expect]} (m = {m})")
         if m % 2:
             steps.append(ReductionStep(m, G.names[a2], G.names[z], "odd"))
-            section_ids = closure(G, [z] + C)
-            section, _ = subgroup_table(G, section_ids)
+            section, _ = subgroup_table(G, closure(G, np.concatenate(([z], C))))
             break
-        for c in C:
-            if G.mul(z, c) != G.mul(c, z):
-                raise RelationFailed(f"z does not centralize {G.names[c]}")
+        bad = np.flatnonzero(G.mul_vec(z, C) != G.mul_vec(C, z))
+        if bad.size:
+            raise RelationFailed(f"z does not centralize {G.names[C[bad[0]]]}")
         if G.mul(G.mul(G.inv(x), z), x) != G.mul(z, a_cur):
             raise RelationFailed("conjugation relation x^-1 z x = z a fails")
         N = sorted({0, z, G.mul(z, a_cur), a_cur})
@@ -449,21 +467,22 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
             raise RelationFailed("quotient subgroup {1, z, za, a} has fewer than 4 elements")
         steps.append(ReductionStep(m, G.names[a2], G.names[z], "even",
                                    [G.names[g] for g in N]))
-        span = closure(G, [x] + C)
-        sub, old_ids = subgroup_table(G, span)
-        pos = {g: i for i, g in enumerate(old_ids)}
-        Q, proj = quotient(sub, Subset.of(sub, [pos[g] for g in N]))
+        sub, old = subgroup_table(G, closure(G, np.concatenate(([x], C))))
+        pos = np.empty(G.order, dtype=np.int64)
+        pos[old] = np.arange(len(old))
+        Q, proj = quotient(sub, Subset.of(sub, pos[N]))
+        proj = np.asarray(proj.map)
         # closing relation of the induction: x^m N = a2 N
-        if proj(power(sub, pos[x], m)) != proj(pos[a2]):
+        if proj[power(sub, pos[x], m)] != proj[pos[a2]]:
             raise RelationFailed("closing relation x^m N = a2 N fails")
-        x = proj(pos[x])
-        C = sorted({proj(pos[c]) for c in C})
+        x = int(proj[pos[x]])
+        C = np.unique(proj[pos[C]])
         G = Q
         m //= 2
     profile = order_profile(section)
     recognized = is_generalized_quaternion(section)
-    a_final = [g for g in section.elements() if order_of(section, g) == 2]
-    eta_trivial = len(a_final) == 1 and set(eta(section, a_final[0]).members) <= {0}
+    a_final = np.flatnonzero(section.orders == 2)
+    eta_trivial = a_final.size == 1 and set(eta(section, a_final[0]).members) <= {0}
     trace = ReductionTrace(steps, section, profile, recognized, eta_trivial)
     if verify_next_level:
         other = quaternion_reduce(tower, level + 1)

@@ -1,4 +1,4 @@
-"""Exact arithmetic on finite groups given by Cayley tables.
+"""Exact arithmetic on finite groups: ``OracleGroup``s, Cayley tables among them.
 
 Element 0 is always the identity.  Tables are validated on construction:
 identity row/column, Latin square, uniqueness of names, and associativity.
@@ -55,8 +55,92 @@ class NotHomomorphicError(GroupError):
         self.witness = witness
 
 
-class FiniteGroupTable:
-    """A finite group as an identity-indexed Cayley table with named elements."""
+class OracleGroup:
+    """A black-box group: named elements with vectorized arithmetic.
+
+    Algorithms see only ``mul_vec`` and ``inv_vec`` on index arrays, element 0
+    being the identity (black-box groups, Babai & Szemeredi, FOCS 1984).
+    ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays of one
+    shape; without it, powers are taken by binary exponentiation.  Tables,
+    tower levels, subgroups, quotients and the deeper tree groups are all of
+    this kind; ``group()`` materializes one as a validated Cayley table.
+    """
+
+    identity = 0
+
+    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None):
+        self.n = self.order = n
+        self.names = names
+        self._mul_vec = mul_vec
+        self._inv_vec = inv_vec
+        self._pow_vec = pow_vec
+        self.label = label
+        self._group = None
+
+    @cached_property
+    def index(self):
+        return {nm: i for i, nm in enumerate(self.names)}
+
+    def id_of(self, name):
+        try:
+            return self.index[name]
+        except KeyError:
+            raise InvalidElementError(f"unknown element name {name!r} at {self.label}") from None
+
+    def has(self, name):
+        return name in self.index
+
+    def check_element(self, g):
+        if not 0 <= int(g) < self.n:
+            raise InvalidElementError(f"element index {g} out of range at {self.label}")
+        return int(g)
+
+    def elements(self):
+        return range(self.n)
+
+    def mul_vec(self, a, b):
+        return self._mul_vec(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+
+    def inv_vec(self, a):
+        return self._inv_vec(np.asarray(a, dtype=np.int64))
+
+    def pow_vec(self, x, e):
+        """x^e for index arrays x and exponents e >= 0 that broadcast together."""
+        if self._pow_vec is None:
+            return binary_power_vec(self, x, e)
+        x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
+        return self._pow_vec(x, e)
+
+    def mul(self, a, b):
+        return int(self.mul_vec(self.check_element(a), self.check_element(b)))
+
+    def inv(self, a):
+        return int(self.inv_vec(self.check_element(a)))
+
+    @cached_property
+    def generators(self):
+        return generating_set(self)
+
+    @cached_property
+    def orders(self):
+        return element_orders(self)
+
+    def group(self):
+        """Materialize the group as a validated Cayley table."""
+        if self._group is None:
+            idx = np.arange(self.n, dtype=np.int64)
+            self._group = FiniteGroupTable(self.mul_vec(idx[:, None], idx), self.names,
+                                           label=self.label)
+        return self._group
+
+    def __repr__(self):
+        lab = f" {self.label}" if self.label else ""
+        return f"<{type(self).__name__}{lab} order={self.n}>"
+
+
+class FiniteGroupTable(OracleGroup):
+    """A finite group as an identity-indexed Cayley table with named elements:
+    the OracleGroup whose ``mul_vec`` and ``inv_vec`` are gathers."""
 
     def __init__(self, table, names=None, *, label=""):
         tab = np.asarray(table, dtype=np.int64)
@@ -65,9 +149,6 @@ class FiniteGroupTable:
         n = tab.shape[0]
         if n < 1:
             raise TableFormatError("group order must be at least 1")
-        self.order = n
-        self.table = tab
-        self.label = label
         if names is None:
             names = [str(i) for i in range(n)]
         names = list(names)
@@ -75,8 +156,9 @@ class FiniteGroupTable:
             raise TableFormatError(f"expected {n} names, got {len(names)}")
         if len(set(names)) != n:
             raise TableFormatError("element names are not unique")
-        self.names = names
-        self._index = {nm: i for i, nm in enumerate(names)}
+        super().__init__(n, names, None, None, label=label)
+        self.table = tab
+        self.index = {nm: i for i, nm in enumerate(names)}
         self.meta = {}
         self._validate()
         self._inv = np.argmin(tab, axis=1)  # the column holding 0 in each row
@@ -92,7 +174,7 @@ class FiniteGroupTable:
         if not np.array_equal(tab[:, 0], idx):
             raise TableFormatError("column 0 does not act as identity")
         for what, rows in (("row", tab), ("column", tab.T)):
-            for block in _row_blocks(n):
+            for block in _row_blocks(n, n):
                 bad = np.flatnonzero((np.sort(rows[block], axis=1) != idx).any(axis=1))
                 if bad.size:
                     raise TableFormatError(f"{what} {block.start + bad[0]} is not a permutation")
@@ -101,7 +183,7 @@ class FiniteGroupTable:
         # generator s; the s satisfying it are closed under products
         for s in self.generators:
             col = tab[:, s]                          # b*s for every b
-            for rows in _row_blocks(n):
+            for rows in _row_blocks(n, n):
                 left = col[tab[rows]]                # (a*b)*s
                 right = tab[rows].take(col, axis=1)  # a*(b*s)
                 if not np.array_equal(left, right):
@@ -110,89 +192,23 @@ class FiniteGroupTable:
                         f"associativity fails at ({rows.start + a},{b},{s})")
         self.meta["associativity"] = "full"
 
-    @property
-    def identity(self):
-        return 0
-
-    @cached_property
-    def orders(self):
-        return element_orders(self)
-
     def check_element(self, g):
         g = int(g)
         if not 0 <= g < self.order:
             raise InvalidElementError(f"element index {g} out of range for order {self.order}")
         return g
-
-    def mul(self, a, b):
-        return int(self.table[self.check_element(a), self.check_element(b)])
 
     def mul_vec(self, a, b):
         return self.table[a, b]
 
-    def inv(self, a):
-        return int(self._inv[self.check_element(a)])
-
-    def elements(self):
-        return range(self.order)
+    def inv_vec(self, a):
+        return self._inv[a]
 
     def id_of(self, name):
         try:
-            return self._index[name]
+            return self.index[name]
         except KeyError:
             raise InvalidElementError(f"unknown element name {name!r}") from None
-
-    def __repr__(self):
-        lab = f" {self.label}" if self.label else ""
-        return f"<FiniteGroupTable{lab} order={self.order}>"
-
-
-class OracleGroup:
-    """A group given by a multiplication oracle instead of a materialized table.
-
-    Used where the full table would be wasteful (tree groups of depth >= 3,
-    large tower levels).  Supports the enumeration-style kernel operations.
-    """
-
-    def __init__(self, order, mul, *, name_of=None, label=""):
-        self.order = order
-        self._mul = mul
-        self._name_of = name_of
-        self.label = label
-        self.meta = {"oracle": True}
-
-    @property
-    def identity(self):
-        return 0
-
-    def check_element(self, g):
-        g = int(g)
-        if not 0 <= g < self.order:
-            raise InvalidElementError(f"element index {g} out of range for order {self.order}")
-        return g
-
-    def mul(self, a, b):
-        return self._mul(self.check_element(a), self.check_element(b))
-
-    def inv(self, a):
-        # last power before the cycle closes
-        a = self.check_element(a)
-        prev, cur = a, self.mul(a, a)
-        while cur != 0:
-            prev, cur = cur, self.mul(cur, a)
-        return prev
-
-    def elements(self):
-        return range(self.order)
-
-    def name_of(self, g):
-        if self._name_of is not None:
-            return self._name_of(g)
-        return str(g)
-
-    def __repr__(self):
-        lab = f" {self.label}" if self.label else ""
-        return f"<OracleGroup{lab} order={self.order}>"
 
 
 @dataclass(frozen=True)
@@ -229,7 +245,7 @@ class Subset:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A validated homomorphism between table groups."""
+    """A validated homomorphism between groups."""
 
     source: FiniteGroupTable
     target: FiniteGroupTable
@@ -237,7 +253,7 @@ class Homomorphism:
 
     @classmethod
     def validated(cls, source, target, mapping):
-        m = np.asarray(list(mapping), dtype=np.int64)
+        m = np.asarray(mapping, dtype=np.int64)
         if m.shape != (source.order,):
             raise NotHomomorphicError(
                 f"map has length {m.shape[0]}, expected {source.order}")
@@ -251,7 +267,7 @@ class Homomorphism:
             raise NotHomomorphicError(
                 f"homomorphism law fails at ({source.names[a]},{source.names[b]})",
                 witness=wit)
-        return cls(source, target, tuple(int(x) for x in m))
+        return cls(source, target, tuple(m.tolist()))
 
     def __call__(self, g):
         return self.map[self.source.check_element(g)]
@@ -375,16 +391,8 @@ def roots(G, targets):
 
 
 def order_of(G, g):
-    """Least n >= 1 with g^n = identity; an OracleGroup, having no
-    ``mul_vec``, walks the powers of g."""
-    g = G.check_element(g)
-    if isinstance(G, OracleGroup):
-        n, cur = 1, g
-        while cur != 0:
-            cur = G.mul(cur, g)
-            n += 1
-        return n
-    return int(G.orders[g])
+    """Least n >= 1 with g^n = identity."""
+    return int(G.orders[G.check_element(g)])
 
 
 def cyclic_subgroup(G, g):
@@ -398,52 +406,69 @@ def cyclic_subgroup(G, g):
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations, over any group with ``mul_vec`` and ``inv_vec``
 
-def _row_blocks(n):
-    """Slices of consecutive rows of an n-column array, about BLOCK_ENTRIES each."""
-    step = max(1, BLOCK_ENTRIES // n)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _row_blocks(rows, cols):
+    """Slices of consecutive rows of a rows x cols array, about BLOCK_ENTRIES each."""
+    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _indices(G, members):
+    """``members`` as an index array, in order; an out-of-range one is
+    reported by ``G.check_element``."""
+    idx = np.asarray(members if isinstance(members, np.ndarray) else list(members),
+                     dtype=np.int64).reshape(-1)
+    bad = (idx < 0) | (idx >= G.order)
+    if bad.any():
+        G.check_element(idx[bad][0])
+    return idx
 
 
 def _reach(G, seen, frontier, gens):
     """Mark in ``seen`` everything reachable from ``frontier`` by right products with ``gens``.
 
     The squares g^(2^i), 2^i < |G|, of the generators reach nothing new but
-    bring every power g^k within log2 k steps: about log2 |G| rounds.
+    bring every power g^k within log2 k steps: about log2 |G| rounds.  A
+    round multiplies the frontier in row blocks of about BLOCK_ENTRIES
+    products, marking ``seen`` block by block.
     """
     steps = [np.asarray(gens, dtype=np.int64)]
-    for _ in range((len(G.names) - 1).bit_length() - 1):
+    for _ in range((G.order - 1).bit_length() - 1):
         steps.append(G.mul_vec(steps[-1], steps[-1]))
     steps = np.unique(np.concatenate(steps))
     while frontier.size:
-        prods = G.mul_vec(np.repeat(frontier, steps.size), np.tile(steps, frontier.size))
-        frontier = np.unique(prods[~seen[prods]])
-        seen[frontier] = True
+        reached = []
+        for rows in _row_blocks(frontier.size, steps.size):
+            prods = G.mul_vec(frontier[rows, None], steps).reshape(-1)
+            new = np.unique(prods[~seen[prods]])
+            seen[new] = True
+            reached.append(new)
+        frontier = np.concatenate(reached)
+
+
+def _span(G, seed):
+    """(mask of <seed>, greedy generators): each seed element not yet
+    reached, in seed order, is added and the reached set grows to the
+    subgroup generated so far.  In a group each generator at least doubles
+    it, so there are at most log2 |G|."""
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    gens = []
+    while (rest := seed[~seen[seed]]).size:
+        gens.append(int(rest[0]))
+        _reach(G, seen, np.flatnonzero(seen), gens)
+    return seen, gens
 
 
 def closure(G, seed):
-    """Least subgroup containing ``seed``, by right products; ``G`` needs ``mul_vec``."""
-    seed = [G.check_element(g) for g in seed]
-    seen = np.zeros(len(G.names), dtype=bool)
-    seen[0] = True
-    _reach(G, seen, np.zeros(1, dtype=np.int64), seed)
-    return Subset(G, tuple(np.flatnonzero(seen).tolist()))
+    """Least subgroup containing ``seed``."""
+    return Subset(G, tuple(np.flatnonzero(_span(G, _indices(G, seed))[0]).tolist()))
 
 
 def generating_set(G):
-    """Greedy generators: repeatedly add the least element not yet reached.
-
-    Every element is a product of the result.  In a group each generator at
-    least doubles the reached subgroup, so there are at most log2 |G|.
-    """
-    seen = np.zeros(len(G.names), dtype=bool)
-    seen[0] = True
-    gens = []
-    while not seen.all():
-        gens.append(int(np.argmin(seen)))
-        _reach(G, seen, np.flatnonzero(seen), gens)
-    return gens
+    """Greedy generators: repeatedly add the least element not yet reached."""
+    return _span(G, np.arange(G.order, dtype=np.int64))[1]
 
 
 def hom_witness(source, target, f):
@@ -468,28 +493,35 @@ def power(G, g, m):
 
 
 def centralizer(G, S):
-    members = [g for g in G.elements()
-               if all(G.mul(g, s) == G.mul(s, g) for s in S)]
-    return Subset.of(G, members)
+    """The elements commuting with every member of S, taken in blocks of S."""
+    S = _indices(G, S)
+    x = np.arange(G.order, dtype=np.int64)[:, None]
+    ok = np.ones(G.order, dtype=bool)
+    for cols in _row_blocks(S.size, G.order):
+        ok &= (G.mul_vec(x, S[cols]) == G.mul_vec(S[cols], x)).all(axis=1)
+    return Subset(G, tuple(np.flatnonzero(ok).tolist()))
 
 
 def center(G):
-    return centralizer(G, Subset.of(G, G.elements()))
+    """The centralizer of a generating set."""
+    return centralizer(G, G.generators)
 
 
 def commutator(G, a, b):
-    return G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
+    """[a, b] = a^-1 b^-1 a b, elementwise on index arrays."""
+    return G.mul_vec(G.mul_vec(G.inv_vec(a), G.inv_vec(b)), G.mul_vec(a, b))
 
 
 def derived_subgroup(G):
-    comms = {commutator(G, a, b) for a in G.elements() for b in G.elements()}
-    return closure(G, comms)
+    x = np.arange(G.order, dtype=np.int64)
+    comms = [np.unique(commutator(G, x[rows, None], x)) for rows in _row_blocks(G.order, G.order)]
+    return closure(G, np.unique(np.concatenate(comms)))
 
 
 def omega1(G, p):
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    return closure(G, np.flatnonzero(G.orders == p).tolist())
+    return closure(G, np.flatnonzero(G.orders == p))
 
 
 def exponent(G):
@@ -505,57 +537,73 @@ def order_profile(G):
 
 def is_subgroup(G, S):
     """Whether the nonempty subset ``S`` is closed under multiplication."""
-    return len(S) > 0 and len(closure(G, S)) == len(set(S))
+    S = _indices(G, S)
+    return S.size > 0 and np.count_nonzero(_span(G, S)[0]) == np.unique(S).size
 
 
 def check_normal(G, N):
-    """Raise with a witness unless N is a normal subgroup of G."""
+    """Raise with a witness unless N is a normal subgroup of G.
+
+    Closure is checked row-major over N x N, then normality g-major over the
+    conjugates g^-1 n g; the first failure is the witness.
+    """
     if not len(N) or 0 not in N:
         raise NotASubgroupError("subset does not contain the identity")
-    for a in N:
-        for b in N:
-            if G.mul(a, b) not in N:
-                raise NotASubgroupError(
-                    f"not closed: {G.names[a]}*{G.names[b]}", witness=(a, b))
-    for g in G.elements():
-        gi = G.inv(g)
-        for n in N:
-            if G.mul(G.mul(gi, n), g) not in N:
-                raise NotNormalError(
-                    f"not normal: conjugate of {G.names[n]} by {G.names[g]} escapes",
-                    witness=(g, n))
+    N = _indices(G, N)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[N] = True
+    for rows in _row_blocks(N.size, N.size):
+        bad = np.argwhere(~inside[G.mul_vec(N[rows, None], N)])
+        if bad.size:
+            a, b = int(N[rows.start + bad[0, 0]]), int(N[bad[0, 1]])
+            raise NotASubgroupError(f"not closed: {G.names[a]}*{G.names[b]}", witness=(a, b))
+    g = np.arange(G.order, dtype=np.int64)[:, None]
+    for rows in _row_blocks(G.order, N.size):
+        bad = np.argwhere(~inside[G.mul_vec(G.mul_vec(G.inv_vec(g[rows]), N), g[rows])])
+        if bad.size:
+            h, n = rows.start + int(bad[0, 0]), int(N[bad[0, 1]])
+            raise NotNormalError(
+                f"not normal: conjugate of {G.names[n]} by {G.names[h]} escapes",
+                witness=(h, n))
 
 
 def quotient(G, N):
     """Coset group G/N with its canonical projection.
 
     Coset representatives are minimal element indices; the identity coset
-    comes first and the rest follow in representative order.
+    comes first and the rest follow in representative order.  G/N is an
+    OracleGroup on the representatives, each product one gather through G.
     """
     check_normal(G, N)
-    cosets = G.mul_vec(np.arange(G.order)[:, None], list(N))  # row g holds the coset gN
+    cosets = G.mul_vec(np.arange(G.order)[:, None], _indices(G, N))  # row g holds gN
     reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
-    table = coset_of[G.mul_vec(reps[:, None], reps)]
-    names = [f"[{G.names[r]}]" for r in reps]
-    Q = FiniteGroupTable(table, names, label=f"{G.label}/N" if G.label else "quotient")
-    proj = Homomorphism.validated(G, Q, coset_of)
-    return Q, proj
+    coset_of = coset_of.reshape(-1)
+    Q = OracleGroup(reps.size, [f"[{G.names[r]}]" for r in reps.tolist()],
+                    lambda a, b: coset_of[G.mul_vec(reps[a], reps[b])],
+                    lambda a: coset_of[G.inv_vec(reps[a])],
+                    label=f"{G.label}/N" if G.label else "quotient",
+                    pow_vec=lambda a, e: coset_of[power_vec(G, reps[a], e)])
+    return Q, Homomorphism.validated(G, Q, coset_of)
 
 
 def subgroup_table(G, S):
-    """Reindex a subgroup as its own table group, identity first.
+    """Reindex a subgroup as its own group, identity first.
 
-    Returns the table and the list mapping new indices to old ones.
+    Returns an OracleGroup, each product one gather through G, and the list
+    mapping new indices to old ones.
     """
     if not is_subgroup(G, S):
         raise NotASubgroupError("subset is not closed under multiplication")
-    old = np.array([0] + [g for g in S if g != 0], dtype=np.int64)
-    pos = np.empty(len(G.names), dtype=np.int64)
+    S = _indices(G, S)
+    old = np.concatenate(([0], S[S != 0]))
+    pos = np.empty(G.order, dtype=np.int64)
     pos[old] = np.arange(old.size)
-    table = pos[G.mul_vec(old[:, None], old)]
-    names = [G.names[g] for g in old]
-    return (FiniteGroupTable(table, names, label=f"{G.label}-sub" if G.label else "subgroup"),
-            old.tolist())
+    H = OracleGroup(old.size, [G.names[g] for g in old.tolist()],
+                    lambda a, b: pos[G.mul_vec(old[a], old[b])],
+                    lambda a: pos[G.inv_vec(old[a])],
+                    label=f"{G.label}-sub" if G.label else "subgroup",
+                    pow_vec=lambda a, e: pos[power_vec(G, old[a], e)])
+    return H, old.tolist()
 
 
 def direct_product(G, H):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +20,9 @@ from .kernel import (
     GroupError,
     Homomorphism,
     InvalidElementError,
-    binary_power_vec,
+    OracleGroup,
     center,
     closure,
-    element_orders,
-    generating_set,
     hom_witness,
     is_prime,
     order_of,
@@ -119,79 +116,13 @@ def prufer_names(p, k):
 # ---------------------------------------------------------------------------
 # levels
 
-class Level:
-    """One finite level of a tower: named elements with vectorized arithmetic.
-
-    ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays of one
-    shape; without it, powers are taken by binary exponentiation.
-    """
-
-    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None):
-        self.n = n
-        self.names = names
-        self._mul_vec = mul_vec
-        self._inv_vec = inv_vec
-        self._pow_vec = pow_vec
-        self.label = label
-        self._index = None
-        self._group = None
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {nm: i for i, nm in enumerate(self.names)}
-        return self._index
-
-    def id_of(self, name):
-        try:
-            return self.index[name]
-        except KeyError:
-            raise InvalidElementError(f"unknown element name {name!r} at {self.label}") from None
-
-    def has(self, name):
-        return name in self.index
-
-    def check_element(self, g):
-        if not 0 <= int(g) < self.n:
-            raise InvalidElementError(f"element index {g} out of range at {self.label}")
-        return int(g)
-
-    def mul_vec(self, a, b):
-        return self._mul_vec(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-
-    def inv_vec(self, a):
-        return self._inv_vec(np.asarray(a, dtype=np.int64))
-
-    def pow_vec(self, x, e):
-        """x^e for index arrays x and exponents e >= 0 that broadcast together."""
-        if self._pow_vec is None:
-            return binary_power_vec(self, x, e)
-        x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
-        return self._pow_vec(x, e)
-
-    def mul(self, a, b):
-        return int(self.mul_vec(a, b))
-
-    def inv(self, a):
-        return int(self.inv_vec(a))
-
-    @cached_property
-    def generators(self):
-        return generating_set(self)
-
-    @cached_property
-    def orders(self):
-        return element_orders(self)
+class Level(OracleGroup):
+    """One finite level of a tower; it materializes as a table only up to a cap."""
 
     def group(self, *, cap=4096):
-        """Materialize the level as a validated Cayley table."""
-        if self._group is None:
-            if self.n > cap:
-                raise TowerError(f"level of order {self.n} exceeds materialization cap {cap}")
-            idx = np.arange(self.n, dtype=np.int64)
-            table = self.mul_vec(idx[:, None], idx)
-            self._group = FiniteGroupTable(table, self.names, label=self.label)
-        return self._group
+        if self.n > cap:
+            raise TowerError(f"level of order {self.n} exceeds materialization cap {cap}")
+        return super().group()
 
 
 class Tower:
@@ -241,9 +172,8 @@ class Tower:
         return self._embeds[k]
 
     def embedding_hom(self, k):
-        """The embedding as a kernel Homomorphism between materialized levels."""
-        return Homomorphism.validated(self.level(k).group(), self.level(k + 1).group(),
-                                      self.embed_ids(k).tolist())
+        """The embedding as a kernel Homomorphism between the levels."""
+        return Homomorphism.validated(self.level(k), self.level(k + 1), self.embed_ids(k))
 
     def birth_level(self, name, max_level):
         for k in range(self.k0, max_level + 1):
@@ -362,7 +292,6 @@ class T1Tower(Tower):
         self.dec_t = dec_t
         self.dec_j = dec_j
         self.t_count = len(reps)
-        self.Hinv = np.argmin(H.table, axis=1)  # the column holding the identity in each row
         # rep_pow[t, j] = reps[t]^j for j below the rep's order, by walks in H
         self.rep_order = H.orders[self.reps]
         self.rep_pow = np.zeros((self.t_count, int(self.rep_order.max())), dtype=np.int64)
@@ -379,7 +308,7 @@ class T1Tower(Tower):
         p, n = self.p, self.n
         ck = p ** k
         u = p ** (k - n)
-        Ht, Hinv = self.H.table, self.Hinv
+        Ht, Hinv = self.H.table, self.H.inv_vec
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
         rep_pow, rep_order = self.rep_pow, self.rep_order
         c_names = prufer_names(p, k)
@@ -393,7 +322,7 @@ class T1Tower(Tower):
 
         def inv_vec(a):
             t, m = np.divmod(a, ck)
-            hi = Hinv[reps[t]]
+            hi = Hinv(reps[t])
             return dec_t[hi] * ck + (dec_j[hi] * u - m) % ck
 
         def pow_vec(a, e):

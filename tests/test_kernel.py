@@ -121,7 +121,7 @@ class TestOperations:
 
     def test_oracle_group_matches_table(self):
         G = dihedral(6)
-        O = OracleGroup(G.order, G.mul)
+        O = OracleGroup(G.order, G.names, G.mul_vec, G.inv_vec)
         for g in G.elements():
             assert O.inv(g) == G.inv(g)
             assert order_of(O, g) == order_of(G, g)

@@ -33,6 +33,16 @@ element             L2      L3      L4      L5      L6
 theory [K = <a> (unique involution)]: agrees
 """
 
+# tree_depth_profile.py --max-depth 3: every element of each group, by its order
+TREE_PROFILE = """\
+depth 1: order 2^3 (V dim 2, W dim 1), exhaustive
+  element orders: {1: 1, 2: 1, 4: 6}
+depth 2: order 2^7 (V dim 4, W dim 3), exhaustive
+  element orders: {1: 1, 2: 7, 4: 120}
+depth 3: order 2^15 (V dim 8, W dim 7), exhaustive
+  element orders: {1: 1, 2: 127, 4: 32640}
+"""
+
 
 def run_script(name, *args):
     env = dict(os.environ)
@@ -45,6 +55,7 @@ def run_script(name, *args):
     ("eta_growth_sweep.py", ["specs/t2.json", "--max-level", "5", "--limit", "3"]),
     ("cocycle_census.py", ["--base", "z4"]),
     ("tree_depth_profile.py", ["--max-depth", "3", "--samples", "20"]),
+    ("tree_depth_profile.py", ["--max-depth", "4", "--samples", "20"]),
 ])
 def test_script_runs(name, args):
     proc = run_script(name, *args)
@@ -56,3 +67,9 @@ def test_eta_growth_sweep_output_is_unchanged():
     proc = run_script("eta_growth_sweep.py", "specs/quat.json", "--max-level", "6")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == QUAT_SWEEP
+
+
+def test_tree_depth_profile_is_exhaustive_to_depth_three():
+    proc = run_script("tree_depth_profile.py", "--max-depth", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == TREE_PROFILE
