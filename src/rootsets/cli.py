@@ -28,13 +28,11 @@ from .constructions import (
     tree_vw_group,
 )
 from .eta import (
-    PreconditionError,
     check_lemma31,
     check_lemma32,
     check_lemma39,
     eta,
     k_finite,
-    lemma38_decide,
     roots_matrix,
 )
 from .kernel import (
@@ -45,6 +43,7 @@ from .kernel import (
     dumps_table,
     is_prime,
     load_table,
+    prime_factors,
     quotient,
     validate_automorphism,
 )
@@ -339,15 +338,29 @@ def _lemma33_suite(G):
 
 
 def _lemma38_suite(G):
+    """``lemma38_decide`` against brute force on every pair (a, h), read from
+    one roots matrix: the first failing (a, h), row-major, is the witness.
+
+    With R[h, g] true iff g lies in <h>, h is in eta(a) iff not R[h, a],
+    |<h> cap <a>| is (R R^T)[h, a], and a*h is a root of a iff R[a*h, a].
+    Pairs outside the lemma's preconditions (a and h commuting, the order
+    of a a prime power p^n with n >= 1, h in eta(a)) are skipped.
+    """
     R = roots_matrix(G)
-    for a in G.elements():
-        for h in G.elements():
-            try:
-                predicted = lemma38_decide(G, a, h)
-            except PreconditionError:
-                continue
-            if predicted != bool(R[G.mul(a, h), a]):
-                return False, (G.names[a], G.names[h])
+    idx = np.arange(G.order)
+    ah = G.mul_vec(idx[:, None], idx)  # [a, h] -> a*h
+    orders = G.orders
+    p = np.zeros(G.order, dtype=np.int64)  # p where the order of a is a power of p, else 0
+    for d in np.unique(orders).tolist():
+        if len(primes := list(prime_factors(d))) == 1:
+            p[orders == d] = primes[0]
+    Ri = R.astype(np.int64)
+    asked = (ah == ah.T) & (p[:, None] > 0) & ~R.T
+    predicted = np.gcd(p[:, None], orders // (Ri @ Ri.T)) == 1
+    bad = np.argwhere(asked & (predicted != R[ah, idx[:, None]]))
+    if bad.size:
+        a, h = map(int, bad[0])
+        return False, (G.names[a], G.names[h])
     return True, None
 
 

@@ -3,7 +3,8 @@
 Element 0 is always the identity.  Tables are validated on construction:
 identity row/column, Latin square, uniqueness of names, and associativity.
 Associativity and homomorphism laws are checked exactly, by generators.
-Table files are read row by row into one int64 array and written from a
+Table files are read into one int64 array in blocks of rows, plain ASCII
+rows as bytes and any other row as ``int()`` reads it, and written from a
 lookup of index strings (format below).
 """
 
@@ -408,9 +409,9 @@ def cyclic_subgroup(G, g):
 # ---------------------------------------------------------------------------
 # operations, over any group with ``mul_vec`` and ``inv_vec``
 
-def _row_blocks(rows, cols):
-    """Slices of consecutive rows of a rows x cols array, about BLOCK_ENTRIES each."""
-    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+def _row_blocks(rows, cols, entries=BLOCK_ENTRIES):
+    """Slices of consecutive rows of a rows x cols array, about ``entries`` each."""
+    step = max(1, entries // max(cols, 1))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -590,11 +591,17 @@ def subgroup_table(G, S):
     """Reindex a subgroup as its own group, identity first.
 
     Returns an OracleGroup, each product one gather through G, and the list
-    mapping new indices to old ones.
+    mapping new indices to old ones: the identity, then the other members
+    of S in order of first appearance.  One ``_span`` of S checks that S is
+    a subgroup and gives H's generators, which equal ``generating_set(H)``:
+    the identity is reached first, so H's index order makes the same greedy
+    choices, and the squares ``_reach`` adds only shorten its rounds.
     """
-    if not is_subgroup(G, S):
-        raise NotASubgroupError("subset is not closed under multiplication")
     S = _indices(G, S)
+    seen, gens = _span(G, S)
+    S = S[np.sort(np.unique(S, return_index=True)[1])]  # first appearances, in order
+    if not S.size or np.count_nonzero(seen) != S.size:
+        raise NotASubgroupError("subset is not closed under multiplication")
     old = np.concatenate(([0], S[S != 0]))
     pos = np.empty(G.order, dtype=np.int64)
     pos[old] = np.arange(old.size)
@@ -603,6 +610,7 @@ def subgroup_table(G, S):
                     lambda a: pos[G.inv_vec(old[a])],
                     label=f"{G.label}-sub" if G.label else "subgroup",
                     pow_vec=lambda a, e: pos[power_vec(G, old[a], e)])
+    H.generators = pos[gens].tolist()
     return H, old.tolist()
 
 
@@ -684,6 +692,21 @@ def prime_factors(n):
 # reads them; one that does not fit in int64 is reported as out of range.
 
 def loads_table(text, *, label=""):
+    """Parse the table file format.
+
+    Table rows are read in blocks of about BLOCK_ENTRIES >> 2 entries.  A
+    block whose lines hold only ASCII digits, spaces and tabs, with no run of
+    more than 18 digits, is read as bytes (``_plain_rows``); any other block
+    goes through ``_int_rows``, which reads each token as ``int()`` reads it.
+
+    The two agree exactly.  On a line made only of ASCII digits, spaces and
+    tabs, ``str.split()`` yields exactly the maximal runs of digits, and
+    ``int()`` reads such a run as its decimal value, leading zeros included;
+    a run of at most 18 digits fits in int64, so nothing is clamped.  Blocks
+    are read in order, and each has passed completely before the next is
+    read.  A plain block holds no non-integer token, so its first row with a
+    wrong number of entries is the first error the per-token reader reports.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise TableFormatError("empty table file")
@@ -701,8 +724,55 @@ def loads_table(text, *, label=""):
     # n rows of n entries take at least n*n characters; a shorter text fails a
     # row check below, so it is read into one reused row, not an n x n array
     tab = np.empty((n if n * n <= len(text) else 1, n), dtype=np.int64)
-    for i in range(n):
-        row = lines[2 + i].split()
+    for rows in _row_blocks(n, n, BLOCK_ENTRIES >> 2):
+        block = lines[2 + rows.start:2 + rows.stop]
+        values = _plain_rows(block, rows.start, n)
+        if values is None:
+            _int_rows(tab, block, rows.start, n)
+        elif len(tab) == n:
+            tab[rows] = values
+    del lines  # validation runs without the row strings held
+    return FiniteGroupTable(tab, names, label=label)
+
+
+_DIGIT_MAX = 18  # 10**18 - 1 < 2**63 - 1: every run of at most 18 digits fits in int64
+
+
+def _plain_rows(lines, first, n):
+    """The rows ``lines`` (``first`` the index of the first) as an array of
+    shape (len(lines), n), read as bytes, or None when a line holds anything
+    but ASCII digits, spaces and tabs, or a run of more than 18 digits."""
+    # a non-ASCII character, or a lone surrogate, becomes '?' and cannot raise
+    b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+    d = b - np.uint8(48)  # a digit's value; every other byte wraps past 9
+    digit = d < 10
+    if not (digit | (b == 32) | (b == 9) | (b == 10)).all():
+        return None
+    # tokens are the maximal runs of digits, [starts[t], ends[t])
+    padded = np.zeros(b.size + 2, dtype=bool)
+    padded[1:-1] = digit
+    starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
+    width = ends - starts
+    longest = int(width.max(initial=0))
+    if longest > _DIGIT_MAX:
+        return None
+    breaks = np.cumsum([len(ln) + 1 for ln in lines]) - 1  # the newline after each line
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0)
+    bad = np.flatnonzero(counts != n)
+    if bad.size:
+        i = int(bad[0])
+        raise TableFormatError(f"row {first + i} has {counts[i]} entries, expected {n}")
+    values = d.take(ends - 1).astype(np.int64)
+    for k in range(1, longest):  # add the 10**k digit of each token
+        values += np.where(width > k, d.take(ends - 1 - k), np.uint8(0)) * np.int64(10 ** k)
+    return values.reshape(len(lines), n)
+
+
+def _int_rows(tab, lines, first, n):
+    """Read the rows ``lines`` into ``tab`` token by token, as ``int()`` reads
+    them; the first bad row raises."""
+    for i, line in enumerate(lines, first):
+        row = line.split()
         if len(row) != n:
             raise TableFormatError(f"row {i} has {len(row)} entries, expected {n}")
         dest = min(i, len(tab) - 1)
@@ -713,7 +783,6 @@ def loads_table(text, *, label=""):
                 tab[dest] = [min(max(int(x), -1), n) for x in row]
         except ValueError:
             raise TableFormatError(f"non-integer entry in row {i}") from None
-    return FiniteGroupTable(tab, names, label=label)
 
 
 def load_table(path):

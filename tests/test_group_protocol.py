@@ -231,3 +231,43 @@ def test_census_catches_a_planted_gamma_diagonal_fault(monkeypatch, depth):
         FAIL, [(1 << spec.w_dim) + w for w in range(5)])
     assert status["omega1-order-matches"][0] == FAIL
     assert rep.result["involutions"] > rep.result["expected_omega1_order"] - 1
+
+
+# ---------------------------------------------------------------------------
+# subgroup_table reads H's generators off the span that checks S
+
+def _span_generators_match(G, S):
+    H, old = subgroup_table(G, S)
+    assert H.generators == generating_set(H)
+    return H, old
+
+
+def test_subgroup_generators_on_tower_levels():
+    rng = np.random.default_rng(5)
+    for path in ("t2.json", "quat.json", "heis_t1.json"):
+        tower = cli.build_tower(cli.parse_spec((SPECS / path).read_text(encoding="utf-8")))
+        for k in range(tower.k0, tower.k0 + 3):
+            lvl = tower.level(k)
+            for size in (1, 2, 3):
+                _span_generators_match(lvl, closure(lvl, rng.integers(0, lvl.n, size)))
+
+
+def test_subgroup_generators_on_table_subgroups():
+    for G in (symmetric(4), dihedral(12), generalized_quaternion(16)):
+        for a in range(G.order):
+            for b in range(a, G.order, 3):
+                _span_generators_match(G, closure(G, [a, b]))
+
+
+def test_subgroup_table_takes_unsorted_and_duplicated_seeds():
+    G = symmetric(4)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        members = np.array(closure(G, rng.integers(0, G.order, 2)).indices)
+        S = np.concatenate([rng.permutation(members), rng.choice(members, 3)])
+        H, old = _span_generators_match(G, S)
+        distinct = list(dict.fromkeys(S.tolist()))
+        assert old == [0] + [g for g in distinct if g != 0]
+        assert H.group().table.tolist() == [[old.index(G.mul(a, b)) for b in old] for a in old]
+    with pytest.raises(NotASubgroupError):
+        subgroup_table(G, [0, 1, 2, 1, 0])  # two transpositions with a 3-cycle product

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rootsets.catalog import corpus, dihedral, generalized_quaternion, symmetric
+from rootsets import kernel
+from rootsets.catalog import corpus, cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, main, parse_spec
 from rootsets.kernel import FiniteGroupTable, TableFormatError, dumps_table, loads_table
 
@@ -217,3 +219,115 @@ def test_emit_table_rejects_an_entry_beyond_int64(tmp_path, capsys):
     assert code == 1
     assert report == {"command": "emit-table", "errors": ["table entries out of range"]}
     assert not (tmp_path / "out.tbl").exists()
+
+
+# ---------------------------------------------------------------------------
+# the byte-level reader of plain rows against the per-token reference
+
+def table_lines(n):
+    """The lines of the cyclic group's table text, header included."""
+    return dumps_table(cyclic(n)).splitlines()
+
+
+def with_rows(lines, rows):
+    """The table text with the rows {index: text} replaced."""
+    lines = list(lines)
+    for i, row in rows.items():
+        lines[2 + i] = row
+    return "\n".join(lines) + "\n"
+
+
+def reference_outcome(text):
+    """The reference's outcome, where an entry beyond int64 is out of range.
+
+    The reference reads every row before it builds the int64 table, so its
+    OverflowError means that every row was read; the reader clamps such an
+    entry, and the table's range check is the first to fail.
+    """
+    got = outcome(reference_loads_table, text)
+    return (TableFormatError, "table entries out of range") if got[0] is OverflowError else got
+
+
+PIECES = st.one_of(
+    st.sampled_from([" ", "  ", "\t", "+", "-", "_", "#", "x", "\x00", "\x1f", "\xa0",
+                     "\u0663", "\uff10"]),
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(lambda v: "00" + str(v)),
+    st.integers(17, 22).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k)),
+)
+ROW_TEXT = st.lists(PIECES, min_size=1, max_size=14).map("".join)
+
+
+class TestByteReader:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.dictionaries(st.integers(0, n - 1), ROW_TEXT,
+                                                        max_size=n))))
+    def test_drawn_rows_match_the_reference(self, drawn):
+        n, rows = drawn
+        text = with_rows(table_lines(n), rows)
+        assert outcome(loads_table, text) == reference_outcome(text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(0, 199), ROW_TEXT, max_size=4))
+    def test_drawn_rows_across_blocks_match_the_reference(self, rows):
+        text = with_rows(table_lines(200), rows)
+        assert outcome(loads_table, text) == reference_outcome(text)
+
+    # n = 200: a block holds 81 rows, so rows 0, 80 | 81, 161 | 162, 199 open and close blocks
+    EDGES = [0, 80, 81, 161, 162, 199]
+
+    @pytest.mark.parametrize("row", EDGES)
+    @pytest.mark.parametrize("fault", ["ragged", "non-integer", "beyond-int64"])
+    def test_a_fault_at_a_block_edge(self, row, fault):
+        assert kernel._row_blocks(200, 200, kernel.BLOCK_ENTRIES >> 2)[1] == slice(81, 162)
+        lines = table_lines(200)
+        entries = lines[2 + row].split()
+        if fault == "ragged":
+            entries = entries[:-1]
+        elif fault == "non-integer":
+            entries[-1] = "x"
+        else:
+            entries[0] = "9" * 19
+        text = with_rows(lines, {row: " ".join(entries)})
+        expected = {"ragged": f"row {row} has 199 entries, expected 200",
+                    "non-integer": f"non-integer entry in row {row}",
+                    "beyond-int64": "table entries out of range"}[fault]
+        assert outcome(loads_table, text) == reference_outcome(text) == (
+            TableFormatError, expected)
+
+    @pytest.mark.parametrize("spelling", [("15 ", "+15 "), ("15 ", "1_5 "), ("15 ", "1\u0665 "),
+                                          ("15 ", "015\x1f"), ("15 ", "15\xa0"),
+                                          ("15 ", "#5 ")])
+    def test_a_fallback_block_then_a_plain_block_with_a_ragged_row(self, spelling):
+        lines = table_lines(200)
+        row5 = lines[2 + 5].replace(*spelling, 1)
+        text = with_rows(lines, {5: row5, 100: lines[2 + 100].rsplit(maxsplit=1)[0]})
+        message = ("non-integer entry in row 5" if "#" in row5
+                   else "row 100 has 199 entries, expected 200")
+        assert outcome(loads_table, text) == reference_outcome(text) == (
+            TableFormatError, message)
+
+    def test_a_lone_surrogate(self):
+        text = Z4.replace("2 3 0 1", "2 3 0 \ud800")
+        assert outcome(loads_table, text) == outcome(reference_loads_table, text) == (
+            TableFormatError, "non-integer entry in row 2")
+
+    def test_a_plain_text_never_reads_token_by_token(self, q1024, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a plain block was read token by token")
+
+        text = dumps_table(q1024)
+        monkeypatch.setattr(kernel, "_int_rows", refuse)
+        assert np.array_equal(loads_table(text).table, q1024.table)
+        tabs = text.replace(" ", "\t").replace("\n0\t", "\n00\t")
+        assert np.array_equal(loads_table(tabs).table, q1024.table)
+
+    def test_runs_of_18_digits_are_plain_and_19_are_not(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "_int_rows",
+                            lambda *args, real=kernel._int_rows: calls.append(1) or real(*args))
+        plain = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 16 + "02")
+        assert loads_table(plain).order == 4 and not calls
+        long = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 17 + "02")
+        assert outcome(loads_table, long) == outcome(reference_loads_table, long) and calls
