@@ -16,15 +16,14 @@ from .kernel import (
     Subset,
     center,
     centralizer,
-    closure,
     commutator,
     derived_subgroup,
+    generated_subgroup,
     _row_blocks,
     is_prime,
     order_profile,
     power,
     quotient,
-    subgroup_table,
 )
 from .eta import eta
 from .report import CheckReport
@@ -445,7 +444,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
         raise TowerError("quaternion reduction needs an index-2 inverting tower")
     G = tower.level(level)
     x = G.id_of(tower.x_name)
-    C = np.array([G.id_of(nm) for nm in tower.c_names(level)], dtype=np.int64)
+    C = np.arange(tower.c_part_count(level), dtype=np.int64)  # C's names come first
     m = tower.m
     steps = []
     while True:
@@ -469,7 +468,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
                 f"z^2 = {G.names[z2]}, expected {G.names[expect]} (m = {m})")
         if m % 2:
             steps.append(ReductionStep(m, G.names[a2], G.names[z], "odd"))
-            section, _ = subgroup_table(G, closure(G, np.concatenate(([z], C))))
+            section, _ = generated_subgroup(G, np.concatenate(([z], C)))
             break
         bad = np.flatnonzero(G.mul_vec(z, C) != G.mul_vec(C, z))
         if bad.size:
@@ -481,7 +480,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
             raise RelationFailed("quotient subgroup {1, z, za, a} has fewer than 4 elements")
         steps.append(ReductionStep(m, G.names[a2], G.names[z], "even",
                                    [G.names[g] for g in N]))
-        sub, old = subgroup_table(G, closure(G, np.concatenate(([x], C))))
+        sub, old = generated_subgroup(G, np.concatenate(([x], C)))
         pos = np.empty(G.order, dtype=np.int64)
         pos[old] = np.arange(len(old))
         Q, proj = quotient(sub, Subset.of(sub, pos[N]))

@@ -363,15 +363,23 @@ def root_images(G, targets):
     identity elsewhere.  g lies in <h> iff d = ord g divides ord h and
     h^(ord h / d) generates <g>, so targets[j] lies in <h> iff
     key[P[h, col_of[j]]] == key[targets[j]]; the identity's key 0 matches
-    only the identity's.
+    only the identity's.  P is filled in row blocks of about BLOCK_ENTRIES
+    entries, so the closed forms' temporaries stay about that size.
     """
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     orders = G.orders
     ds, col_of = np.unique(orders[targets], return_inverse=True)
     key = _cyclic_keys(G, targets)
-    e, rem = np.divmod(orders[:, None], ds)
-    P = power_vec(G, np.arange(orders.size)[:, None],
-                  np.where(rem == 0, e % orders[:, None], 0))
+    blocks = _row_blocks(orders.size, ds.size)
+    P = None if len(blocks) == 1 else np.empty((orders.size, ds.size), dtype=np.int64)
+    for rows in blocks:
+        h = np.arange(rows.start, rows.stop)[:, None]
+        e, rem = np.divmod(orders[h], ds)
+        block = power_vec(G, h, np.where(rem == 0, e % orders[h], 0))
+        if P is None:
+            P = block  # a single block is P itself, not a copy
+        else:
+            P[rows] = block
     return ds, col_of, key, P
 
 
@@ -602,7 +610,23 @@ def subgroup_table(G, S):
     S = S[np.sort(np.unique(S, return_index=True)[1])]  # first appearances, in order
     if not S.size or np.count_nonzero(seen) != S.size:
         raise NotASubgroupError("subset is not closed under multiplication")
-    old = np.concatenate(([0], S[S != 0]))
+    return _reindexed(G, np.concatenate(([0], S[S != 0])), gens)
+
+
+def generated_subgroup(G, seed):
+    """``subgroup_table(G, closure(G, seed))`` from one ``_span`` of the seed.
+
+    H lists the identity, then the other members of <seed> in increasing
+    order, as that form does.  H's generators are the seed's greedy
+    generators, which generate H but need not equal ``generating_set(H)``.
+    """
+    seen, gens = _span(G, _indices(G, seed))
+    return _reindexed(G, np.flatnonzero(seen), gens)
+
+
+def _reindexed(G, old, gens):
+    """The subgroup of G on ``old`` (the identity first), generated by the
+    ids ``gens`` of G, as an OracleGroup, and ``old`` as a list."""
     pos = np.empty(G.order, dtype=np.int64)
     pos[old] = np.arange(old.size)
     H = OracleGroup(old.size, [G.names[g] for g in old.tolist()],

@@ -153,7 +153,20 @@ class Tower:
         """Validated embedding level(k) -> level(k+1), as an index array.
 
         Names are the stable addressing, so the embedding is name lookup;
-        the homomorphism law is checked exactly, by generators of level k.
+        the homomorphism law is checked exactly, by generators S_k of level k.
+
+        Once the check passes and p = n_(k+1) / n_k is prime, level k + 1
+        inherits its generators along the embedding: g, the least element
+        outside the image, then the members of emb(S_k) outside <g>.  This
+        is exact.  S_k generates level k: greedy generators do, and
+        inherited ones do by induction.  ``hom_witness`` is exact for any
+        generating set, so once it passes, emb is an injective homomorphism
+        and I = emb(level k) = <emb S_k> is a subgroup of order n_k, which
+        therefore divides n_(k+1).  By Lagrange's theorem a subgroup J with
+        I < J, I != J, has order p n_k = n_(k+1), so <emb S_k, g> is level
+        k + 1, and dropping the members of emb S_k that lie in <g> does not
+        change the span.  Generators a level already holds are kept; k0 and
+        a level above any other index take the greedy ``generating_set``.
         """
         if k not in self._embeds:
             src, tgt = self.level(k), self.level(k + 1)
@@ -169,7 +182,16 @@ class Tower:
             if hom_witness(src, tgt, emb) is not None:
                 raise TowerError(f"embedding at level {k} is not a homomorphism")
             self._embeds[k] = emb
+            if not self._holds_generators(k + 1) and is_prime(tgt.n // src.n):
+                g = int(np.argmin(hit))
+                in_g = np.zeros(tgt.n, dtype=bool)
+                in_g[power_vec(tgt, g, np.arange(tgt.n))] = True  # ord g divides n
+                tgt.generators = [g] + [s for s in emb[src.generators].tolist() if not in_g[s]]
         return self._embeds[k]
+
+    def _holds_generators(self, k):
+        """Whether level k is built and its generators are already known."""
+        return k in self._levels and "generators" in vars(self._levels[k])
 
     def embedding_hom(self, k):
         """The embedding as a kernel Homomorphism between the levels."""
@@ -430,6 +452,9 @@ class T2Tower(Tower):
 
     def _build_level(self, k):
         blvl = self.base.level(k)
+        if self.base._holds_generators(k - 1):
+            # base level k inherits the generators _check_conditions reads
+            self.base.embed_ids(k - 1)
         nb = blvl.n
         alpha = self.base._alpha_map(k, self.recipe)
         y_id = blvl.id_of(self.y_name)
@@ -486,6 +511,9 @@ class T2Tower(Tower):
         # y^m must be the distinguished involution, making x^{2m} = a
         if power(blvl, y_id, self.m) != a_id:
             raise ExtensionConditionsFailed(f"y^{self.m} is not the involution a", k)
+
+    def c_part_count(self, k):
+        return self.base.c_part_count(k)
 
     def c_names(self, k):
         return self.base.level(k).names[: self.base.c_part_count(k)]
@@ -544,6 +572,9 @@ class QuaternionTower(Tower):
         c_names = prufer_names(2, k)
         return Level(2 * ck, c_names + [f"x.{nm}" for nm in c_names], mul_vec, inv_vec,
                      label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec)
+
+    def c_part_count(self, k):
+        return 2 ** k
 
     def c_names(self, k):
         return self.level(k).names[: 2 ** k]
