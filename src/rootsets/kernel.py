@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -56,6 +58,47 @@ class NotHomomorphicError(GroupError):
         self.witness = witness
 
 
+class NameView(Sequence):
+    """Element names formatted on demand: ``format`` maps an id array to a
+    list of names, in one pass, so a big group never holds all its names.
+
+    It reads as the list of names; it compares equal to any sequence with
+    the same names in the same order.
+    """
+
+    def __init__(self, n, format):
+        self.n = n
+        self.format = format
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self.n)[i]
+            return self.format(np.arange(r.start, r.stop, r.step, dtype=np.int64))
+        i = operator.index(i)
+        if not -self.n <= i < self.n:
+            raise IndexError(f"element index {i} out of range for order {self.n}")
+        return self.format(np.array([i % self.n], dtype=np.int64))[0]
+
+    def __iter__(self):
+        for rows in _row_blocks(self.n, 1):
+            yield from self.format(np.arange(rows.start, rows.stop, dtype=np.int64))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+def names_at(G, ids):
+    """The names of the elements ``ids`` (an index array) of G, as a list."""
+    if isinstance(G.names, NameView):
+        return G.names.format(np.asarray(ids, dtype=np.int64))
+    return [G.names[i] for i in np.asarray(ids).tolist()]
+
+
 class OracleGroup:
     """A black-box group: named elements with vectorized arithmetic.
 
@@ -82,14 +125,18 @@ class OracleGroup:
     def index(self):
         return {nm: i for i, nm in enumerate(self.names)}
 
+    def lookup(self, name):
+        """The id of the element named ``name``, or -1 if there is none."""
+        return self.index.get(name, -1)
+
     def id_of(self, name):
-        try:
-            return self.index[name]
-        except KeyError:
-            raise InvalidElementError(f"unknown element name {name!r} at {self.label}") from None
+        i = self.lookup(name)
+        if i < 0:
+            raise InvalidElementError(f"unknown element name {name!r} at {self.label}")
+        return i
 
     def has(self, name):
-        return name in self.index
+        return self.lookup(name) >= 0
 
     def check_element(self, g):
         if not 0 <= int(g) < self.n:
@@ -241,7 +288,7 @@ class Subset:
         return cached
 
     def names(self):
-        return [self.owner.names[i] for i in self.indices]
+        return names_at(self.owner, np.array(self.indices, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -281,7 +328,7 @@ class Homomorphism:
 
 
 # ---------------------------------------------------------------------------
-# the roots/orders engine, over any group with ``names`` and ``mul_vec``
+# the roots/orders engine, over any group with ``n`` and ``mul_vec``
 
 def power_vec(G, x, e):
     """x^e for index arrays x and exponents e >= 0 that broadcast together.
@@ -317,7 +364,7 @@ def element_orders(G):
     Handbook of Computational Group Theory, 2005): O(log n) ``mul_vec``
     calls in a p-group.
     """
-    n = len(G.names)
+    n = G.n
     orders = np.ones(n, dtype=np.int64)
     for q, a in prime_factors(n).items():
         y = power_vec(G, np.arange(n), n // q ** a)
@@ -587,7 +634,7 @@ def quotient(G, N):
     cosets = G.mul_vec(np.arange(G.order)[:, None], _indices(G, N))  # row g holds gN
     reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
     coset_of = coset_of.reshape(-1)
-    Q = OracleGroup(reps.size, [f"[{G.names[r]}]" for r in reps.tolist()],
+    Q = OracleGroup(reps.size, [f"[{nm}]" for nm in names_at(G, reps)],
                     lambda a, b: coset_of[G.mul_vec(reps[a], reps[b])],
                     lambda a: coset_of[G.inv_vec(reps[a])],
                     label=f"{G.label}/N" if G.label else "quotient",
@@ -629,7 +676,7 @@ def _reindexed(G, old, gens):
     ids ``gens`` of G, as an OracleGroup, and ``old`` as a list."""
     pos = np.empty(G.order, dtype=np.int64)
     pos[old] = np.arange(old.size)
-    H = OracleGroup(old.size, [G.names[g] for g in old.tolist()],
+    H = OracleGroup(old.size, NameView(old.size, lambda a: names_at(G, old[a])),
                     lambda a, b: pos[G.mul_vec(old[a], old[b])],
                     lambda a: pos[G.inv_vec(old[a])],
                     label=f"{G.label}-sub" if G.label else "subgroup",

@@ -2,16 +2,18 @@
 
 The infinite groups of interest (quasicyclic groups, central amalgams, their
 index-2 inverting extensions, generalized quaternion limits) are represented
-as towers: for each level k a finite group, plus name-stable embeddings into
-the next level.  Membership in K is reported as a stabilization certificate
-for the level-wise eta sets, never as a proof; the classification statements
+as towers: for each level k a finite group on integer coordinates, plus
+closed-form embeddings into the next level that keep element names.  Names
+are parsed and formatted arithmetically, and only where a report prints
+them.  Membership in K is reported as a stabilization certificate for the
+level-wise eta sets, never as a proof; the classification statements
 provide the expected answers the reports are compared against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +22,14 @@ from .kernel import (
     GroupError,
     Homomorphism,
     InvalidElementError,
+    NameView,
     OracleGroup,
     center,
     closure,
+    element_orders,
     hom_witness,
     is_prime,
+    names_at,
     order_of,
     power,
     power_vec,
@@ -37,8 +42,8 @@ DEFAULT_WINDOW = 2
 DEFAULT_BIRTH_CAP = 4
 DEFAULT_MEMBER_CAP = 128
 # how many levels past the base to look for a named generator before giving
-# up; levels grow geometrically, so a deep search would materialize huge name
-# lists just to report a typo
+# up; levels grow geometrically, so a deep search would build huge levels
+# just to report a typo
 GENERATOR_SEARCH_DEPTH = 8
 
 
@@ -103,21 +108,127 @@ def prufer_name(num, p, k):
     return PruferElement.of(p, num, k).name
 
 
+def prufer_fractions(m, n):
+    """``prufer_name`` of the ids ``m`` (an index array) of Z_n, n = p^k, in
+    one pass: "0", or the fraction m/n in lowest terms."""
+    g = np.gcd(m, n)
+    return [f"{a}/{b}" if a else "0" for a, b in zip((m // g).tolist(), (n // g).tolist())]
+
+
 def prufer_names(p, k):
-    """``prufer_name(m, p, k)`` for m = 0 .. p^k - 1, built in one pass."""
+    """``prufer_name(m, p, k)`` for m = 0 .. p^k - 1."""
+    return prufer_fractions(np.arange(p ** k, dtype=np.int64), p ** k)
+
+
+def fraction_id(name, n):
+    """The id m of Z_n that the fraction ``name`` = a/b, b dividing n, is
+    m/n of; or -1.  Non-canonical fractions ("2/4", "0/1") get an id too,
+    which ``formatted_back`` refuses."""
+    if name == "0":
+        return 0
+    a, _, b = name.partition("/")
+    try:
+        a, b = int(a), int(b)
+    except ValueError:
+        return -1
+    if b < 1 or n % b:
+        return -1
+    m = a * (n // b)
+    return m if 0 <= m < n else -1
+
+
+def formatted_back(ids, names, fmt):
+    """``ids``, read from ``names`` by arithmetic, with -1 wherever an id
+    does not format back to its very name: so only canonical spellings are
+    accepted, exactly the names a name dict would hold."""
+    at = np.flatnonzero(ids >= 0)
+    ids[at[np.array([b != names[j] for j, b in zip(at.tolist(), fmt(ids[at]))],
+                    dtype=bool)]] = -1
+    return ids
+
+
+def prufer_level(p, k):
+    """Z_(p^k) on the ids m = 0 .. p^k - 1, the element m/p^k mod 1."""
     n = p ** k
-    names = ["0"]
-    for m in range(1, n):
-        g = math.gcd(m, n)  # m/n in lowest terms
-        names.append(f"{m // g}/{n // g}")
-    return names
+
+    def fmt(m):
+        return prufer_fractions(m, n)
+
+    def ids_of(names):
+        return formatted_back(np.array([fraction_id(nm, n) for nm in names], dtype=np.int64),
+                              names, fmt)
+
+    return Level(n, NameView(n, fmt),
+                 lambda a, b: (a + b) % n,
+                 lambda a: (-a) % n,
+                 label=f"prufer-{p}^{k}",
+                 pow_vec=lambda a, e: a * (e % n) % n,
+                 ids_of=ids_of,
+                 order_vec=lambda a: n // np.gcd(a, n))
+
+
+def _x_coset_names(blvl):
+    """``format`` and ``ids_of`` for a level that is two cosets of ``blvl``:
+    the id e nb + g is named as g, with the prefix "x." when e = 1."""
+    nb = blvl.n
+
+    def fmt(ids):
+        e, g = np.divmod(ids, nb)
+        return [f"x.{nm}" if x else nm for x, nm in zip(e.tolist(), names_at(blvl, g))]
+
+    def ids_of(names):
+        # "x." and a name of blvl; else, as a name dict would, a name of blvl
+        x = np.array([nm.startswith("x.") for nm in names], dtype=bool)
+        g = blvl.ids_of([nm[2:] if nx else nm for nm, nx in zip(names, x.tolist())])
+        ids = np.where(g >= 0, x * nb + g, -1)
+        retry = np.flatnonzero(x & (g < 0))
+        if retry.size:
+            ids[retry] = blvl.ids_of([names[j] for j in retry.tolist()])
+        return ids
+
+    return fmt, ids_of
 
 
 # ---------------------------------------------------------------------------
 # levels
 
 class Level(OracleGroup):
-    """One finite level of a tower; it materializes as a table only up to a cap."""
+    """One finite level of a tower, on the integer coordinates of its kind.
+
+    Its ``names`` are a ``NameView``: formatted from ids on demand, one id
+    or an id array in one pass, so only the names a report prints are ever
+    formatted.  The kind's ``ids_of`` reads a list of names by arithmetic
+    and accepts an id only if it formats back to the very name, so a level
+    accepts exactly its own names, as a name dict would, without building
+    one.  A level given a list of names and no ``ids_of`` looks names up in
+    the dict.  ``order_vec``, when the kind gives it, is a closed form for
+    element orders on index arrays; without it ``orders`` are found by
+    ``element_orders``.  A level materializes as a table only up to a cap.
+    """
+
+    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None, ids_of=None,
+                 order_vec=None):
+        super().__init__(n, names, mul_vec, inv_vec, label=label, pow_vec=pow_vec)
+        self._ids_of = ids_of
+        self._order_vec = order_vec
+
+    @cached_property
+    def orders(self):
+        if self._order_vec is None:
+            return element_orders(self)
+        return self._order_vec(np.arange(self.n, dtype=np.int64))
+
+    def lookup(self, name):
+        if self._ids_of is None:
+            return super().lookup(name)
+        return int(self._ids_of([name])[0]) if isinstance(name, str) else -1
+
+    def ids_of(self, names):
+        """The ids of the strings ``names`` as an index array, -1 where a
+        string is not a name of this level."""
+        if self._ids_of is None:
+            return np.array([self.lookup(nm) for nm in names], dtype=np.int64)
+        return self._ids_of(list(names))
 
     def group(self, *, cap=4096):
         if self.n > cap:
@@ -126,7 +237,11 @@ class Level(OracleGroup):
 
 
 class Tower:
-    """Base class: level caching, name-stable embeddings, birth levels."""
+    """Base class: level caching, validated embeddings, birth levels.
+
+    A kind gives ``_build_level(k)`` and ``embed_vec(k, ids)``, the closed
+    form of its embedding of level k into level k + 1 on index arrays.
+    """
 
     kind = "tower"
     theory_tag = None
@@ -142,6 +257,9 @@ class Tower:
     def _build_level(self, k):
         raise NotImplementedError
 
+    def embed_vec(self, k, ids):
+        raise NotImplementedError
+
     def level(self, k):
         if k < self.k0:
             raise TowerError(f"{self.kind} tower starts at level {self.k0}, got {k}")
@@ -152,8 +270,19 @@ class Tower:
     def embed_ids(self, k):
         """Validated embedding level(k) -> level(k+1), as an index array.
 
-        Names are the stable addressing, so the embedding is name lookup;
-        the homomorphism law is checked exactly, by generators S_k of level k.
+        The map is the kind's closed form ``embed_vec``, and it keeps names:
+        name_(k+1)(emb x) = name_k(x).  A Prufer fraction m/p^k is
+        (p m)/p^(k+1).  T1 and quaternion levels keep the transversal rep or
+        the coset bit and scale the C coordinate by p the same way.  A T2
+        level keeps the coset bit and embeds the base coordinate by the
+        base tower's map.  A quotient level sends the coset g N_k to
+        emb(g) N_(k+1): the base map keeps names and N is one set of names
+        at every level, so emb(g N_k) = emb(g) N_(k+1) has the same member
+        names, and the same least name.  Exactness does not rest on this
+        argument.  The map is checked to be injective and, exactly, by
+        generators S_k of level k, a homomorphism; and ``_check_coherence``
+        checks the image of every target against the id its name parses
+        to at level k + 1.
 
         Once the check passes and p = n_(k+1) / n_k is prime, level k + 1
         inherits its generators along the embedding: g, the least element
@@ -170,11 +299,9 @@ class Tower:
         """
         if k not in self._embeds:
             src, tgt = self.level(k), self.level(k + 1)
-            try:
-                emb = np.fromiter((tgt.id_of(nm) for nm in src.names),
-                                  dtype=np.int64, count=src.n)
-            except InvalidElementError as exc:
-                raise TowerError(f"embedding broken at level {k}: {exc}") from exc
+            emb = np.asarray(self.embed_vec(k, np.arange(src.n, dtype=np.int64)), dtype=np.int64)
+            if emb.shape != (src.n,) or emb.min() < 0 or emb.max() >= tgt.n:
+                raise TowerError(f"embedding at level {k} leaves level {k + 1}")
             hit = np.zeros(tgt.n, dtype=bool)
             hit[emb] = True
             if np.count_nonzero(hit) != src.n:
@@ -235,12 +362,10 @@ class PruferTower(Tower):
         return 1
 
     def _build_level(self, k):
-        p, n = self.p, self.p ** k
-        return Level(n, prufer_names(p, k),
-                     lambda a, b, n=n: (a + b) % n,
-                     lambda a, n=n: (-a) % n,
-                     label=f"prufer-{p}^{k}",
-                     pow_vec=lambda a, e, n=n: a * (e % n) % n)
+        return prufer_level(self.p, k)
+
+    def embed_vec(self, k, ids):
+        return ids * self.p
 
     def c_involution_name(self):
         if self.p != 2:
@@ -311,6 +436,8 @@ class T1Tower(Tower):
                 dec_t[coset], dec_j[coset] = len(reps), np.arange(a_powers.size)
                 reps.append(h)
         self.reps = np.array(reps, dtype=np.int64)
+        self._rep_names = [H.names[r] for r in reps]
+        self._rep_pos = {nm: t for t, nm in enumerate(self._rep_names)}
         self.dec_t = dec_t
         self.dec_j = dec_j
         self.t_count = len(reps)
@@ -321,6 +448,14 @@ class T1Tower(Tower):
         for j in range(1, self.rep_pow.shape[1]):
             cur = H.table[cur, self.reps]
             self.rep_pow[:, j] = cur
+        # s_t, the order of reps[t] modulo <a>, and reps[t]^(s_t) = a^(j_t)
+        self.rep_s = self.rep_order.copy()
+        self.rep_j = np.zeros(self.t_count, dtype=np.int64)
+        for t in range(self.t_count):
+            in_a = np.flatnonzero(dec_t[self.rep_pow[t, 1:self.rep_order[t]]] == 0)
+            if in_a.size:
+                self.rep_s[t] = in_a[0] + 1
+                self.rep_j[t] = dec_j[self.rep_pow[t, in_a[0] + 1]]
 
     @property
     def k0(self):
@@ -333,8 +468,22 @@ class T1Tower(Tower):
         Ht, Hinv = self.H.table, self.H.inv_vec
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
         rep_pow, rep_order = self.rep_pow, self.rep_order
-        c_names = prufer_names(p, k)
-        names = [f"{self.H.names[r]}.{nm}" for r in reps for nm in c_names]
+        rep_names, rep_pos = self._rep_names, self._rep_pos
+        rep_s, rep_j = self.rep_s, self.rep_j
+
+        def fmt(a):
+            t, m = np.divmod(a, ck)
+            return [f"{rep_names[i]}.{c}" for i, c in zip(t.tolist(), prufer_fractions(m, ck))]
+
+        def read(name):
+            # a rep's name, then the C fraction, split at the last "."
+            h, _, c = name.rpartition(".")
+            t, m = rep_pos.get(h), fraction_id(c, ck)
+            return -1 if t is None or m < 0 else t * ck + m
+
+        def ids_of(names):
+            return formatted_back(np.array([read(nm) for nm in names], dtype=np.int64),
+                                  names, fmt)
 
         def mul_vec(a, b):
             t1, m1 = np.divmod(a, ck)
@@ -354,10 +503,22 @@ class T1Tower(Tower):
             h = rep_pow[t, e % rep_order[t]]
             return dec_t[h] * ck + ((e % ck) * m + dec_j[h] * u) % ck
 
-        lvl = Level(self.t_count * ck, names, mul_vec, inv_vec,
-                    label=f"{self.label or 't1'}-level{k}", pow_vec=pow_vec)
+        def order_vec(a):
+            # (r c^m)^e lies in C only when s_t divides e, and (r c^m)^(s_t)
+            # = a^(j_t) c^(s_t m) = c^(u j_t + s_t m)
+            t, m = np.divmod(a, ck)
+            s = rep_s[t]
+            return s * (ck // np.gcd((rep_j[t] * u + s * m) % ck, ck))
+
+        lvl = Level(self.t_count * ck, NameView(self.t_count * ck, fmt), mul_vec, inv_vec,
+                    label=f"{self.label or 't1'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
+                    order_vec=order_vec)
         assert lvl.n == self.H.order * ck // (p ** n)
         return lvl
+
+    def embed_vec(self, k, ids):
+        # (t, m) -> (t, p m): the id t p^k + m becomes t p^(k+1) + p m
+        return ids * self.p
 
     def c_part_count(self, k):
         return self.p ** k
@@ -368,7 +529,7 @@ class T1Tower(Tower):
         return f"{self.H.names[self.reps[0]]}.1/2"
 
     def transversal_names(self):
-        return [self.H.names[r] for r in self.reps]
+        return list(self._rep_names)
 
     def _alpha_map(self, k, recipe):
         """Automorphism candidate from a per-transversal recipe.
@@ -489,9 +650,20 @@ class T2Tower(Tower):
             out[tail] = mul_vec(out[tail], a[tail])
             return out
 
-        names = list(blvl.names) + [f"x.{nm}" for nm in blvl.names]
-        return Level(2 * nb, names, mul_vec, inv_vec,
-                     label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec)
+        def order_vec(a):
+            # x g squares into the base, and no odd power of it lies there
+            e, g = np.divmod(a, nb)
+            return np.where(e == 1, 2 * blvl.orders[mul_vec(a, a)], blvl.orders[g])
+
+        fmt, ids_of = _x_coset_names(blvl)
+        return Level(2 * nb, NameView(2 * nb, fmt), mul_vec, inv_vec,
+                     label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
+                     order_vec=order_vec)
+
+    def embed_vec(self, k, ids):
+        # (e, g) -> (e, base emb g)
+        e, g = np.divmod(ids, self.base.level(k).n)
+        return e * self.base.level(k + 1).n + self.base.embed_vec(k, g)
 
     def _check_conditions(self, blvl, alpha, y_id, a_id, k):
         nb = blvl.n
@@ -569,9 +741,18 @@ class QuaternionTower(Tower):
             coset = np.choose(e % 4, (0, a, half, ck + (m + half) % ck))
             return np.where(e1 == 1, coset, m * (e % ck) % ck)
 
-        c_names = prufer_names(2, k)
-        return Level(2 * ck, c_names + [f"x.{nm}" for nm in c_names], mul_vec, inv_vec,
-                     label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec)
+        def order_vec(a):
+            # c^m has order ck / gcd(m, ck); every x c^m squares to the involution
+            return np.where(a >= ck, 4, ck // np.gcd(a, ck))
+
+        fmt, ids_of = _x_coset_names(prufer_level(2, k))
+        return Level(2 * ck, NameView(2 * ck, fmt), mul_vec, inv_vec,
+                     label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec, ids_of=ids_of,
+                     order_vec=order_vec)
+
+    def embed_vec(self, k, ids):
+        # (e, m) -> (e, 2 m): the id e 2^k + m becomes e 2^(k+1) + 2 m
+        return ids * 2
 
     def c_part_count(self, k):
         return 2 ** k
@@ -622,7 +803,7 @@ class QuotientTower(Tower):
     def _subgroup_at(self, k):
         blvl = self.base.level(k)
         members = closure(blvl, [blvl.id_of(nm) for nm in self.gen_names])
-        names = {blvl.names[g] for g in members}
+        names = set(members.names())
         if self._n_names is None:
             self._n_names = names
         elif names != self._n_names:
@@ -645,7 +826,9 @@ class QuotientTower(Tower):
                     f"by {blvl.names[g]} escapes")
         cosets = blvl.mul_vec(all_ids[:, None], N)  # row g holds the coset gN
         reps, cmap = np.unique(cosets.min(axis=1), return_inverse=True)
-        least = [min(blvl.names[g] for g in row) for row in cosets[reps].tolist()]
+        # coset names are eager: the coset order below depends on them
+        member_names = names_at(blvl, cosets[reps].reshape(-1))
+        least = [min(member_names[i:i + N.size]) for i in range(0, len(member_names), N.size)]
         order = [0] + sorted(range(1, reps.size), key=least.__getitem__)
         relabel = np.empty(reps.size, dtype=np.int64)
         relabel[order] = np.arange(reps.size)
@@ -662,10 +845,24 @@ class QuotientTower(Tower):
         def pow_vec(a, e):
             return cmap[blvl.pow_vec(reps[a], e)]
 
+        def ids_of(ask):
+            # "[" a name of the base level "]", through the projection; only
+            # the coset's least name formats back
+            at = [j for j, nm in enumerate(ask) if nm[:1] == "[" and nm[-1:] == "]"]
+            g = np.full(len(ask), -1, dtype=np.int64)
+            g[at] = blvl.ids_of([ask[j][1:-1] for j in at])
+            return formatted_back(np.where(g >= 0, cmap[g], -1), ask,
+                                  lambda c: [names[i] for i in c.tolist()])
+
         lvl = Level(reps.size, names, mul_vec, inv_vec,
-                    label=f"{self.label or 'quotient'}-level{k}", pow_vec=pow_vec)
+                    label=f"{self.label or 'quotient'}-level{k}", pow_vec=pow_vec, ids_of=ids_of)
         lvl.projection = cmap  # base level id -> coset id
+        lvl.reps = reps        # coset id -> its least base level id
         return lvl
+
+    def embed_vec(self, k, ids):
+        # the coset g N_k -> emb(g) N_(k+1)
+        return self.level(k + 1).projection[self.base.embed_vec(k, self.level(k).reps[ids])]
 
     def theory_names(self, k):
         base_theory = self.base.theory_names(k)
@@ -731,9 +928,9 @@ class _LevelRoots:
 
     @classmethod
     def of(cls, lvl, names):
-        live = np.array([j for j, nm in enumerate(names) if lvl.has(nm)], dtype=np.int64)
-        ids = np.array([lvl.id_of(names[j]) for j in live], dtype=np.int64)
-        return cls(lvl, live, ids, *root_images(lvl, ids))
+        ids = lvl.ids_of(names)
+        live = np.flatnonzero(ids >= 0)
+        return cls(lvl, live, ids[live], *root_images(lvl, ids[live]))
 
 
 def _keys_inject(a, b, nb):
@@ -784,7 +981,8 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     eta(g) is the complement of the roots of g.  A level is held as
     ``root_images`` of its targets, n x D with D distinct target orders, so
     one ``np.bincount`` of the keys of a column counts the roots of every
-    target of that order.  Member lists come from one column.  The root
+    target of that order.  Member lists come from one column, formatted and
+    sorted once per key: targets of one cyclic subgroup share them.  The root
     images of only two levels, k and k + 1, are held at once: after
     ``_check_coherence`` and equal sizes, the eta sets of a window agree by
     name, so a certificate's stable set is read at the last level of its
@@ -810,6 +1008,7 @@ def _eta_engine(tower, names, max_level, window, member_cap):
             kp = hi.key[hi.P[:, i]] + 1  # shifted keys of the power images, -1 -> 0
             counts = np.bincount(kp, minlength=lvl.n + 1)
             at = np.flatnonzero(hi.col_of == i)
+            members = {}  # shifted key -> its eta set's sorted names
             for j, kg in zip(hi.live[at].tolist(), (hi.key[hi.ids[at]] + 1).tolist()):
                 size = lvl.n - int(counts[kg])
                 sizes[j][k] = size
@@ -818,7 +1017,9 @@ def _eta_engine(tower, names, max_level, window, member_cap):
                              and all(sizes[j][k_star + w] == size for w in range(window)))
                 eta = None
                 if size <= member_cap or certified:
-                    eta = sorted(lvl.names[x] for x in np.flatnonzero(kp != kg).tolist())
+                    eta = members.get(kg)
+                    if eta is None:
+                        eta = members[kg] = sorted(names_at(lvl, np.flatnonzero(kp != kg)))
                 per_level[j].append(LevelEta(k, size, eta if size <= member_cap else None))
                 if certified:
                     certs[j] = ((k_star, window), eta)

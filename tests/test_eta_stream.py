@@ -177,10 +177,15 @@ def test_a_single_power_image_fault_is_caught(name, monkeypatch):
         assert run_with_fault(monkeypatch, tower, k, fault)[1], (name, h, d)
 
 
-def test_an_embedding_that_is_not_injective_is_refused():
+def test_an_embedding_that_is_not_injective_is_refused(monkeypatch):
     tower = PruferTower(2)
-    src = tower.level(2)
-    src.names[3] = src.names[1]  # two level-2 names now look up one level-3 element
+    true = tower.embed_vec
+
+    def colliding(k, ids):
+        emb = true(k, ids)
+        return np.where(ids == 3, emb[1], emb)  # two level-2 ids now have one level-3 image
+
+    monkeypatch.setattr(tower, "embed_vec", colliding)
     with pytest.raises(TowerError, match="^embedding at level 2 is not injective$"):
         tower.embed_ids(2)
 
