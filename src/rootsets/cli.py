@@ -100,8 +100,8 @@ _NAME = _expect(lambda v: isinstance(v, str), "expected an element name")
 _NAMES = _expect(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                  "expected a list of element names")
 _MATRIX = _expect(lambda v: isinstance(v, list) and all(
-    isinstance(r, list) and len(r) == len(v[0]) and all(map(_is_int, r)) for r in v),
-    "expected a matrix of rows")
+    isinstance(r, list) and len(r) == len(v[0]) and {int}.issuperset(map(type, r)) for r in v),
+    "expected a matrix of rows")  # every entry's type is int, as ``_is_int`` asks
 _DEPTH = _expect(lambda v: _is_int(v) and 1 <= v <= 4, "expected depth 1..4")
 
 

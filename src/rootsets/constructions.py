@@ -113,7 +113,7 @@ class CocycleTable:
                 raise CocycleError(
                     "cocycle identity fails",
                     witness=(base.names[x], base.names[y], base.names[z]))
-        return cls(base, p, tuple(tuple(int(v) for v in row) for row in w))
+        return cls(base, p, tuple(map(tuple, w.tolist())))
 
     def matrix(self):
         return np.asarray(self.w, dtype=np.int64)

@@ -212,6 +212,19 @@ class FiniteGroupTable(OracleGroup):
         self._inv = np.argmin(tab, axis=1)  # the column holding 0 in each row
 
     def _validate(self):
+        """Check the table: entries in range, identity row and column, Latin
+        square, then associativity by Light's test on a generating set.
+
+        The Latin check sorts each ``_row_blocks`` block of rows, then of
+        columns, and compares it with 0 .. n - 1.  A block is sorted as a
+        C-contiguous int32 copy: the entries passed the range check, so
+        they lie in [0, n) and the narrowing is exact, and a column block
+        is read row by row from the table before it is transposed, so no
+        sort runs over strided memory.  The blocks and their order are those
+        of a sort of each ``tab[block]`` and ``tab.T[block]`` view, so the
+        first row, and then the first column, that is not a permutation is
+        the one reported.  Only one block's copies are held at a time.
+        """
         n = self.order
         tab = self.table
         if tab.min() < 0 or tab.max() >= n:
@@ -221,9 +234,13 @@ class FiniteGroupTable(OracleGroup):
             raise TableFormatError("row 0 does not act as identity")
         if not np.array_equal(tab[:, 0], idx):
             raise TableFormatError("column 0 does not act as identity")
+        idx32 = idx.astype(np.int32)
         for what, rows in (("row", tab), ("column", tab.T)):
             for block in _row_blocks(n, n):
-                bad = np.flatnonzero((np.sort(rows[block], axis=1) != idx).any(axis=1))
+                part = np.ascontiguousarray(rows[block].astype(np.int32))
+                part.sort(axis=1)
+                bad = np.flatnonzero((part != idx32).any(axis=1))
+                del part
                 if bad.size:
                     raise TableFormatError(f"{what} {block.start + bad[0]} is not a permutation")
         self.generators = generating_set(self)
@@ -807,12 +824,19 @@ def loads_table(text, *, label=""):
 
 
 _DIGIT_MAX = 18  # 10**18 - 1 < 2**63 - 1: every run of at most 18 digits fits in int64
+_DIGIT_MAX_32 = 9  # 10**9 - 1 < 2**31 - 1: every run of at most 9 digits fits in int32
 
 
 def _plain_rows(lines, first, n):
     """The rows ``lines`` (``first`` the index of the first) as an array of
     shape (len(lines), n), read as bytes, or None when a line holds anything
-    but ASCII digits, spaces and tabs, or a run of more than 18 digits."""
+    but ASCII digits, spaces and tabs, or a run of more than 18 digits.
+
+    Each token's value is summed digit by digit from its last byte, in
+    int32 when no run is longer than 9 digits and in int64 otherwise, so
+    every partial sum is below 10**9 or 10**18 and nothing wraps.  The
+    caller stores the values into its int64 table, which widens them
+    exactly; the table's range check then sees the values as read."""
     # a non-ASCII character, or a lone surrogate, becomes '?' and cannot raise
     b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), dtype=np.uint8)
     d = b - np.uint8(48)  # a digit's value; every other byte wraps past 9
@@ -833,9 +857,15 @@ def _plain_rows(lines, first, n):
     if bad.size:
         i = int(bad[0])
         raise TableFormatError(f"row {first + i} has {counts[i]} entries, expected {n}")
-    values = d.take(ends - 1).astype(np.int64)
-    for k in range(1, longest):  # add the 10**k digit of each token
-        values += np.where(width > k, d.take(ends - 1 - k), np.uint8(0)) * np.int64(10 ** k)
+    acc = np.int32 if longest <= _DIGIT_MAX_32 else np.int64
+    at = ends - 1  # each token's 10**k digit, for k = 0, 1, ...
+    values = d.take(at).astype(acc)
+    width = width.astype(np.uint8)
+    for k in range(1, longest):
+        at -= 1
+        digits = d.take(at)
+        digits *= width > k  # 0 where the token has no 10**k digit
+        values += digits * acc(10 ** k)
     return values.reshape(len(lines), n)
 
 
@@ -862,10 +892,26 @@ def load_table(path):
 
 
 def dumps_table(G):
-    digits = np.array([str(i) for i in range(G.order)], dtype=object)
-    lines = [str(G.order), " ".join(G.names)]
-    lines += [" ".join(digits[row]) for row in G.table]
-    return "\n".join(lines) + "\n"
+    """The table file text of ``G``: entries in decimal, one space between
+    them, a newline after each row.
+
+    Rows are written a ``_row_blocks`` block at a time, as one gather from
+    two fixed-width byte tables, ``f"{i} "`` and ``f"{i}\\n"`` for i < n,
+    the second for the last column.  Every entry of a validated table lies
+    in [0, n), so every entry has its string.  A string shorter than the
+    width is padded with NUL bytes, which no string holds, so deleting
+    every NUL (``bytes.translate``) gives exactly the entries' strings
+    joined row by row."""
+    n = G.order
+    width = len(str(n - 1)) + 1
+    spaced = np.array([f"{i} " for i in range(n)], dtype=f"S{width}")
+    ended = np.array([f"{i}\n" for i in range(n)], dtype=f"S{width}")
+    out = [f"{n}\n{' '.join(G.names)}\n"]
+    for rows in _row_blocks(n, n):
+        block = spaced[G.table[rows]]
+        block[:, -1] = ended[G.table[rows, -1]]
+        out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(out)
 
 
 def save_table(G, path):

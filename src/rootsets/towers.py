@@ -927,8 +927,12 @@ class _LevelRoots:
     P: np.ndarray
 
     @classmethod
-    def of(cls, lvl, names):
-        ids = lvl.ids_of(names)
+    def of(cls, lvl, names, ids):
+        """``ids`` holds the ids already known, -1 elsewhere; only the names
+        at -1 are read, and it is filled in place."""
+        unread = np.flatnonzero(ids < 0)
+        if unread.size:
+            ids[unread] = lvl.ids_of([names[j] for j in unread.tolist()])
         live = np.flatnonzero(ids >= 0)
         return cls(lvl, live, ids[live], *root_images(lvl, ids[live]))
 
@@ -949,23 +953,26 @@ def _keys_inject(a, b, nb):
             and np.array_equal(src[b + 1], np.where(keyed, a, -2)))
 
 
-def _check_coherence(k, emb, lo, hi):
-    """Raise CoherenceError unless, for every target present at levels k and k + 1,
-    eta at level k is eta at level k + 1 restricted along ``emb``.
+def _check_coherence(k, emb, lo, hi, names):
+    """Raise CoherenceError unless, for every target present at level k, eta
+    at level k is eta at level k + 1 restricted along ``emb``.
 
-    Exact, in n_k x D form.  With g_k, g_(k+1) a target's ids, d its order
-    and P the power images of ``root_images``, the checks are: emb(g_k) =
-    g_(k+1); ord(emb h) = ord h; emb(P_k[h, d]) = P_(k+1)[emb h, d] on the
-    orders both levels hold; and key_k -> key_(k+1)(emb) is a well-defined
-    injection (``_keys_inject``).  Then g_k in <h>, which is key_k(P_k[h, d])
-    = key_k(g_k), holds iff key_(k+1)(emb P_k[h, d]) = key_(k+1)(emb g_k),
-    which is g_(k+1) in <emb h>.  An injective homomorphism satisfies all
-    four on correct root images.
+    Exact, in n_k x D form.  A target present at level k is carried to
+    level k + 1 along ``emb`` (``_eta_engine``), so its id there is
+    g_(k+1) = emb(g_k).  With d its order and P the power images of
+    ``root_images``, the checks are: (0) g_(k+1) has the target's name at
+    level k + 1; ord(emb h) = ord h; emb(P_k[h, d]) = P_(k+1)[emb h, d] on
+    the orders both levels hold; and key_k -> key_(k+1)(emb) is a
+    well-defined injection (``_keys_inject``).  A level's names are unique,
+    so (0) holds iff the name reads at level k + 1 as emb(g_k); a name
+    that is not a name of level k + 1 fails it.  Then g_k in <h>, which is
+    key_k(P_k[h, d]) = key_k(g_k), holds iff key_(k+1)(emb P_k[h, d]) =
+    key_(k+1)(emb g_k), which is g_(k+1) in <emb h>.  An injective
+    homomorphism that keeps names satisfies all four on correct root images.
     """
-    _, a, b = np.intersect1d(lo.live, hi.live, assume_unique=True, return_indices=True)
-    if not a.size:
+    if not lo.live.size:
         return
-    ok = (np.array_equal(emb[lo.ids[a]], hi.ids[b])
+    ok = (names_at(hi.level, emb[lo.ids]) == [names[j] for j in lo.live.tolist()]
           and np.array_equal(hi.level.orders[emb], lo.level.orders))
     if ok:
         _, i_lo, i_hi = np.intersect1d(lo.ds, hi.ds, assume_unique=True, return_indices=True)
@@ -986,7 +993,9 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     images of only two levels, k and k + 1, are held at once: after
     ``_check_coherence`` and equal sizes, the eta sets of a window agree by
     name, so a certificate's stable set is read at the last level of its
-    window.
+    window.  A name is read once, at the first level where it names an
+    element; above that its id is carried along the validated embedding,
+    and ``_check_coherence`` checks that the carried id keeps the name.
     """
     if window < 1:
         raise TowerError(f"window must be >= 1, got {window}")
@@ -1000,9 +1009,14 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     certs = {}  # j -> (certificate, stable set)
     lo = None
     for k, lvl in enumerate(levels, k0):
-        hi = _LevelRoots.of(lvl, names)
-        if lo is not None:
-            _check_coherence(k - 1, tower.embed_ids(k - 1), lo, hi)
+        ids = np.full(len(names), -1, dtype=np.int64)
+        if lo is None:
+            hi = _LevelRoots.of(lvl, names, ids)
+        else:
+            emb = tower.embed_ids(k - 1)
+            ids[lo.live] = emb[lo.ids]
+            hi = _LevelRoots.of(lvl, names, ids)
+            _check_coherence(k - 1, emb, lo, hi, names)
         lo = hi
         for i in range(hi.ds.size):
             kp = hi.key[hi.P[:, i]] + 1  # shifted keys of the power images, -1 -> 0

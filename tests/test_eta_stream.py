@@ -10,6 +10,7 @@ planted faults in the keys or power images of level k + 1 must raise
 
 import importlib
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,29 @@ def test_a_target_born_late_joins_the_stream():
     rep = eta_stabilized(tower, "3/64", max_level=9)
     assert [pl.level for pl in rep.per_level] == [6, 7, 8, 9]
     assert rep.to_json() == reference_reports(tower, ["3/64"], 9, 2, 128)["3/64"]
+
+
+@pytest.mark.parametrize("name,max_level", [("heis_t1", 6), ("prufer2", 9), ("quat", 8),
+                                            ("quot", 8), ("t2", 7)])
+def test_a_name_is_read_only_up_to_its_birth_level(name, max_level, monkeypatch):
+    """Above the level where it is born, a target's id is carried along the
+    embedding and its name is not read again."""
+    tower = TOWERS[name]
+    targets = list(tower.level(min(max(4, tower.k0), max_level)).names)
+    births = {nm: tower.birth_level(nm, max_level) for nm in targets}
+    own = {id(tower.level(k)) for k in range(tower.k0, max_level + 1)}
+    reads = Counter()
+    real = towers.Level.ids_of
+
+    def counted(self, names):
+        names = list(names)
+        if id(self) in own:  # not the reads a level makes through its base level
+            reads.update(names)
+        return real(self, names)
+
+    monkeypatch.setattr(towers.Level, "ids_of", counted)
+    k_estimate(tower, max_level=max_level, window=2)
+    assert reads == {nm: births[nm] - tower.k0 + 1 for nm in targets}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, parse_spec
 from rootsets.kernel import (
     FiniteGroupTable,
+    _row_blocks,
     Homomorphism,
     NotHomomorphicError,
     TableFormatError,
@@ -134,6 +135,103 @@ class TestTables:
         G = generalized_quaternion(16)
         x = G.id_of("xc1")
         assert [power(G, x, m) for m in range(5)] == [0, x, G.mul(x, x), G.mul(G.mul(x, x), x), 0]
+
+
+def reference_latin_message(T):
+    """The Latin check that sorted each strided ``T.T[block]`` view, kept as
+    the reference: the message for the first row, then the first column,
+    that is not a permutation, or None for a Latin square."""
+    n = len(T)
+    idx = np.arange(n)
+    for what, rows in (("row", T), ("column", T.T)):
+        for block in _row_blocks(n, n):
+            bad = np.flatnonzero((np.sort(rows[block], axis=1) != idx).any(axis=1))
+            if bad.size:
+                return f"{what} {block.start + bad[0]} is not a permutation"
+    return None
+
+
+def table_outcome(T):
+    try:
+        FiniteGroupTable(T)
+    except TableFormatError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def relabeled_q1024():
+    """Q1024 with its elements renumbered, identity kept at 0: its rows and
+    columns are 64-row blocks of the Latin check, and no block is sorted."""
+    T = generalized_quaternion(1024).table
+    rng = np.random.default_rng(1024)
+    perm = np.concatenate([[0], 1 + rng.permutation(1023)])  # new -> old
+    inv = np.argsort(perm)
+    return np.ascontiguousarray(inv[T[perm][:, perm]])
+
+
+class TestLatinCheck:
+    def test_blocks_of_order_1024_are_64_rows(self):
+        assert _row_blocks(1024, 1024)[:2] == [slice(0, 64), slice(64, 128)]
+
+    def test_the_relabeled_table_is_a_group(self, relabeled_q1024):
+        assert FiniteGroupTable(relabeled_q1024).order == 1024
+
+    @pytest.mark.parametrize("row", [1, 63, 64, 127, 128, 1023])
+    def test_a_row_fault_at_a_block_edge(self, relabeled_q1024, row):
+        T = relabeled_q1024.copy()
+        T[row, 700] = T[row, 5]  # a repeated entry: row and column 700 break
+        message = f"row {row} is not a permutation"
+        assert reference_latin_message(T) == message
+        assert table_outcome(T) == message
+
+    @pytest.mark.parametrize("cols", [(63, 1023), (64, 1023), (1022, 1023), (63, 64),
+                                      (1, 1023), (127, 128)])
+    @pytest.mark.parametrize("row", [1, 64, 1023])
+    def test_a_column_fault_at_a_block_edge(self, relabeled_q1024, cols, row):
+        T = relabeled_q1024.copy()
+        a, b = cols
+        T[row, [a, b]] = T[row, [b, a]]  # rows stay permutations; columns a and b break
+        message = f"column {a} is not a permutation"
+        assert reference_latin_message(T) == message
+        assert table_outcome(T) == message
+
+    def test_a_row_fault_is_reported_before_a_column_fault(self, relabeled_q1024):
+        T = relabeled_q1024.copy()
+        T[5, [63, 64]] = T[5, [64, 63]]
+        T[700, 1023] = T[700, 1]
+        assert reference_latin_message(T) == "row 700 is not a permutation"
+        assert table_outcome(T) == "row 700 is not a permutation"
+
+    def test_drawn_faults_match_the_reference(self, relabeled_q1024):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            T = relabeled_q1024.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                r, c, c2 = (int(v) for v in rng.integers(1, 1024, 3))
+                if rng.random() < 0.5:
+                    T[r, c] = T[r, c2]
+                else:
+                    T[r, [c, c2]] = T[r, [c2, c]]
+            expected = reference_latin_message(T)
+            assert table_outcome(T) == expected or (
+                expected is None and table_outcome(T).startswith("associativity fails"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_table_matches_the_reference(self, n):
+        """Every n x n table with identity row 0 and column 0 and entries in range."""
+        inner = (n - 1) ** 2
+        for code in range(n ** inner):
+            T = np.zeros((n, n), dtype=np.int64)
+            T[0] = T[:, 0] = np.arange(n)
+            T[1:, 1:] = np.array([code // n ** i % n for i in range(inner)],
+                                 dtype=np.int64).reshape(n - 1, n - 1)
+            expected = reference_latin_message(T)
+            got = table_outcome(T)
+            if expected is None:
+                assert got is None or got.startswith("associativity fails"), T
+            else:
+                assert got == expected, T
 
 
 class TestLoadsTable:

@@ -107,12 +107,17 @@ def _t2_alpha(alpha):
     ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0]]}, "spec.w: expected a matrix of rows"),
     ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0, "a"]]},
      "spec.w: expected a matrix of rows"),
+    ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0, True]]},
+     "spec.w: expected a matrix of rows"),
+    ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0, 1.0]]},
+     "spec.w: expected a matrix of rows"),
     ({"kind": "cyclic", "n": True}, "spec.n: expected an integer >= 1 (got True)"),
     ({"kind": "prufer_tower", "p": True}, "spec.p: expected a prime (got True)"),
     ({"kind": "tree_vw", "depth": True}, "spec.depth: expected depth 1..4 (got True)"),
     ({**T2, "m": True}, "spec.m: expected an integer >= 1 (got True)"),
 ], ids=["alpha-not-pair", "alpha-bad-fraction", "alpha-zero-denominator",
         "alpha-unknown-target", "alpha-prufer-without-0", "w-ragged", "w-non-integer",
+        "w-bool", "w-float",
         "n-bool", "p-bool", "depth-bool", "m-bool"])
 def test_malformed_field_exits_one(doc, message, tmp_path, capsys):
     report, code = run(["eta", write(tmp_path, doc), "--element", "0",

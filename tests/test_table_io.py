@@ -42,6 +42,14 @@ def reference_loads_table(text, *, label=""):
     return FiniteGroupTable(rows, names, label=label)
 
 
+def reference_dumps_table(G):
+    """The per-row writer the block writer replaced, kept as the reference."""
+    digits = np.array([str(i) for i in range(G.order)], dtype=object)
+    lines = [str(G.order), " ".join(G.names)]
+    lines += [" ".join(digits[row]) for row in G.table]
+    return "\n".join(lines) + "\n"
+
+
 def outcome(loads, text):
     """The table and names a parser returns, or the type and message it raises."""
     try:
@@ -134,6 +142,15 @@ class TestRoundTrip:
             rows = [" ".join(str(int(x)) for x in G.table[i]) for i in range(G.order)]
             assert dumps_table(G) == "\n".join([str(G.order), " ".join(G.names)] + rows) + "\n"
 
+    # token widths change at 10, 100 and 1000; from n = 1000 the rows span blocks
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+    def test_dumps_matches_the_per_row_writer_where_widths_change(self, n):
+        assert len(kernel._row_blocks(n, n)) == (16 if n >= 1000 else 1)
+        rng = np.random.default_rng(n)
+        perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])  # new -> old
+        G = FiniteGroupTable(np.argsort(perm)[cyclic(n).table[perm][:, perm]])
+        assert dumps_table(G) == reference_dumps_table(G)
+
 
 class TestMalformed:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -207,6 +224,18 @@ def test_q1024_parse_and_validate_memory(q1024):
         tracemalloc.stop()
     assert G.order == 1024
     assert peak < 24 * 2 ** 20
+
+
+def test_q1024_dumps_memory(q1024):
+    tracemalloc.start()
+    try:
+        text = dumps_table(q1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_dumps_table(q1024)
+    # the text, the blocks it is joined from, and one block's byte copies
+    assert peak < 2 * len(text) + 2 ** 20
 
 
 def test_emit_table_rejects_an_entry_beyond_int64(tmp_path, capsys):
@@ -322,6 +351,32 @@ class TestByteReader:
         assert np.array_equal(loads_table(text).table, q1024.table)
         tabs = text.replace(" ", "\t").replace("\n0\t", "\n00\t")
         assert np.array_equal(loads_table(tabs).table, q1024.table)
+
+    @pytest.mark.parametrize("tokens", [
+        ["999999999", "0", "1", "2"],                    # 9 digits: int32
+        ["1000000000", "0", "1", "2"],                   # 10 digits: int64
+        ["0000000003", "2", "000000001", "0"],           # leading zeros on both sides of 9
+        ["2147483647", "2147483648", "4294967296", "3"],  # the int32 and uint32 edges
+        ["999999999", "1", "1000000000", "99999999999"],
+    ])
+    def test_runs_of_9_and_10_digits_read_as_int_does(self, tokens):
+        lines = [" ".join(tokens), "3 0 1 2", "\t".join(reversed(tokens))]
+        expected = np.zeros((3, 4), dtype=np.int64)
+        kernel._int_rows(expected, lines, 0, 4)
+        got = kernel._plain_rows(lines, 0, 4)
+        assert got is not None and np.array_equal(got, expected)
+        assert expected[0].tolist() == [int(x) for x in tokens]
+
+    @pytest.mark.parametrize("digits", [9, 10])
+    def test_a_table_with_a_long_run_reads_as_the_reference(self, digits):
+        entry = "0" * (digits - 1) + "3"
+        text = Z4.replace("2 3 0 1", f"2 {entry} 0 1")
+        assert outcome(loads_table, text) == reference_outcome(text)
+        assert outcome(loads_table, text)[0] == [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1],
+                                                  [3, 0, 1, 2]]
+        big = Z4.replace("2 3 0 1", "2 " + "9" * digits + " 0 1")
+        assert outcome(loads_table, big) == reference_outcome(big) == (
+            TableFormatError, "table entries out of range")
 
     def test_runs_of_18_digits_are_plain_and_19_are_not(self, monkeypatch):
         calls = []
