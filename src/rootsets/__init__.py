@@ -24,7 +24,6 @@ from .kernel import (  # noqa: F401
     order_of,
     order_profile,
     quotient,
-    save_table,
     validate_automorphism,
 )
 from .eta import (  # noqa: F401

@@ -376,8 +376,7 @@ SUITES = {
                                      _lemma33_suite(G))],
     "3.8": lambda G, label: [_status(f"{label}:closed-form-vs-brute-force",
                                      *_lemma38_suite(G))],
-    "3.9": lambda G, label: [a for p in range(2, G.order + 1)
-                             if G.order % p == 0 and is_prime(p)
+    "3.9": lambda G, label: [a for p in prime_factors(G.order)
                              for a in _labelled(f"{label}:p={p}", check_lemma39(G, p))],
 }
 

@@ -22,7 +22,6 @@ from .kernel import (
     _row_blocks,
     is_prime,
     order_profile,
-    power,
     quotient,
 )
 from .eta import eta
@@ -195,8 +194,7 @@ class TreeVWSpec:
     depth: int
     paths: tuple
     nodes: tuple
-    rho_bits: tuple   # |paths| x |paths| matrix of W bitmasks
-    gamma_bits: tuple
+    gamma_bits: tuple  # |paths| x |paths| matrix of W bitmasks
 
     @classmethod
     def build(cls, depth):
@@ -225,8 +223,7 @@ class TreeVWSpec:
                     gamma[i][j] = rho[i][j]
                 elif i == j:
                     gamma[i][j] = root
-        return cls(depth, paths, nodes,
-                   tuple(tuple(r) for r in rho), tuple(tuple(r) for r in gamma))
+        return cls(depth, paths, nodes, tuple(tuple(r) for r in gamma))
 
     @property
     def v_dim(self):
@@ -293,9 +290,26 @@ class TreeVWSpec:
         nw = self.w_dim
         return f"v{g >> nw}.w{g & ((1 << nw) - 1)}"
 
+    def isotropic_vectors(self):
+        """Z = {v in V : gamma(v, v) = 0}, by one ``gamma_vec`` over all of V.
+
+        By the squaring law (v, w)^2 = (0, gamma(v, v)), the elements of
+        order at most 2 are exactly Z x W, and every other element squares
+        to a nonzero (0, w'), which squares to the identity: it has order 4.
+        """
+        v = np.arange(1 << self.v_dim, dtype=np.int64)
+        return np.flatnonzero(self.gamma_vec(v, v) == 0)
+
+    def order_profile(self):
+        """Map element order -> count, read from the squaring law
+        (``isotropic_vectors``), without enumerating the group."""
+        small = self.isotropic_vectors().size << self.w_dim
+        counts = {1: 1, 2: small - 1, 4: self.group_order - small}
+        return {d: c for d, c in counts.items() if c}
+
 
 TREE_TABLE_DEPTH = 2  # deeper trees are not materialized as tables
-TREE_ENUM_DEPTH = 3  # depth 4 has 2^31 elements, too many to name or enumerate
+TREE_ENUM_DEPTH = 3  # depth 4 has 2^31 elements, too many to name
 
 
 def tree_vw_group(depth):
@@ -325,20 +339,23 @@ def tree_vw_group(depth):
 
 
 def omega1_census(depth):
-    """Count involutions of the tree group, by its law ``TreeVWSpec.mul_vec``,
-    and compare against the W part."""
-    if depth > TREE_ENUM_DEPTH:
-        raise GroupError("census needs full enumeration; depth 4 (order 2^31) "
-                         "is out of reach, use sampling instead")
+    """Count involutions of the tree group by the squaring law, and compare
+    against the W part.
+
+    Omega_1, the identity and the involutions, is Z x W with Z from
+    ``TreeVWSpec.isotropic_vectors``.  A product (v, w)(v', w') has V part
+    v + v', so Omega_1 is closed iff Z is closed under addition.  Both are
+    exact at every depth, and neither enumerates the group.
+    """
     spec = TreeVWSpec.build(depth)
     nw = spec.w_dim
     rep = CheckReport(f"order-2 census of treeVW depth {depth}")
-    x = np.arange(spec.group_order, dtype=np.int64)
-    omega = np.flatnonzero(spec.mul_vec(x, x) == 0)  # the identity and the involutions
+    Z = spec.isotropic_vectors()
+    omega = ((Z[:, None] << nw) | np.arange(1 << nw)).reshape(-1)  # increasing, identity first
     involutions = omega[1:]
     diff = np.setxor1d(involutions, np.arange(1, 1 << nw)).tolist()
     rep.add("involutions-are-exactly-nonzero-W", not diff, diff[:5] or None)
-    rep.add("omega1-closed", bool(np.isin(spec.mul_vec(omega[:, None], omega), omega).all()))
+    rep.add("omega1-closed", bool(np.isin(Z[:, None] ^ Z, Z).all()))
     rep.result = {
         "group_order": spec.group_order,
         "involutions": int(involutions.size),
@@ -460,7 +477,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
                 f"no element of order 4 in the C part at this stage "
                 f"(level {level} too small for m = {tower.m})")
         a2 = int(order4.min())
-        z = G.mul(power(G, x, m), a2)
+        z = G.mul(int(G.pow_vec(x, m)), a2)
         z2 = G.mul(z, z)
         expect = a_cur if m % 2 else 0
         if z2 != expect:
@@ -486,7 +503,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
         Q, proj = quotient(sub, Subset.of(sub, pos[N]))
         proj = np.asarray(proj.map)
         # closing relation of the induction: x^m N = a2 N
-        if proj[power(sub, pos[x], m)] != proj[pos[a2]]:
+        if proj[int(sub.pow_vec(pos[x], m))] != proj[pos[a2]]:
             raise RelationFailed("closing relation x^m N = a2 N fails")
         x = int(proj[pos[x]])
         C = np.unique(proj[pos[C]])

@@ -18,7 +18,6 @@ from .kernel import (
     Subset,
     cyclic_subgroup,
     order_of,
-    power_vec,
     prime_factors,
     quotient,
     roots,
@@ -181,7 +180,7 @@ def check_lemma39(G, p):
     # through[g, x]: some y has g as a root and is a root of x
     through = (R.astype(np.int64) @ R.astype(np.int64)) > 0
     # bad[g, x]: g in eta(x^p), yet g reaches x through some y
-    bad = ~R[:, power_vec(G, np.arange(n), p)] & through
+    bad = ~R[:, G.pow_vec(np.arange(n), p)] & through
     wit = None
     if bad.any():
         x = int(np.flatnonzero(bad.any(axis=0))[0])

@@ -153,11 +153,16 @@ class OracleGroup:
         return self._inv_vec(np.asarray(a, dtype=np.int64))
 
     def pow_vec(self, x, e):
-        """x^e for index arrays x and exponents e >= 0 that broadcast together."""
+        """x^e for index arrays x and exponents e >= 0 that broadcast together.
+
+        Scalars x and e give a 0-d array, never a numpy scalar, so a closed
+        form may assign into its base level's powers, and ``int(G.pow_vec(g,
+        m))`` is g^m.
+        """
         if self._pow_vec is None:
             return binary_power_vec(self, x, e)
         x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
-        return self._pow_vec(x, e)
+        return np.asarray(self._pow_vec(x, e))
 
     def mul(self, a, b):
         return int(self.mul_vec(self.check_element(a), self.check_element(b)))
@@ -206,7 +211,6 @@ class FiniteGroupTable(OracleGroup):
             raise TableFormatError("element names are not unique")
         super().__init__(n, names, None, None, label=label)
         self.table = tab
-        self.index = {nm: i for i, nm in enumerate(names)}
         self.meta = {}
         self._validate()
         self._inv = np.argmin(tab, axis=1)  # the column holding 0 in each row
@@ -345,21 +349,7 @@ class Homomorphism:
 
 
 # ---------------------------------------------------------------------------
-# the roots/orders engine, over any group with ``n`` and ``mul_vec``
-
-def power_vec(G, x, e):
-    """x^e for index arrays x and exponents e >= 0 that broadcast together.
-
-    A group with a closed form for powers (every tower level) answers
-    through its ``pow_vec``: a few gathers, no ``mul_vec`` calls.  Any other
-    group, tables included, takes ``binary_power_vec``.
-    """
-    x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)
-    closed = getattr(G, "pow_vec", None)
-    if closed is not None:
-        return closed(x, e)
-    return binary_power_vec(G, x, e)
-
+# the roots/orders engine, over any group with ``n`` and ``pow_vec``
 
 def binary_power_vec(G, x, e):
     """x^e by binary exponentiation (Knuth, TAOCP vol. 2, 4.6.3): two
@@ -384,12 +374,12 @@ def element_orders(G):
     n = G.n
     orders = np.ones(n, dtype=np.int64)
     for q, a in prime_factors(n).items():
-        y = power_vec(G, np.arange(n), n // q ** a)
+        y = G.pow_vec(np.arange(n), n // q ** a)
         for _ in range(a):
             if not y.any():
                 break
             orders[y != 0] *= q
-            y = power_vec(G, y, q)
+            y = G.pow_vec(y, q)
         if y.any():
             raise GroupError(f"order of element {int(np.argmax(y != 0))} "
                              f"does not divide group order {n}")
@@ -409,7 +399,7 @@ def _cyclic_keys(G, targets):
     while (todo := todo[key[todo] < 0]).size:
         d = int(orders[todo[0]])
         block = todo[orders[todo] == d][:max(1, BLOCK_ENTRIES // d)]
-        P = power_vec(G, block[:, None], np.arange(d))
+        P = G.pow_vec(block[:, None], np.arange(d))
         # g^j and g^k generate the same subgroup of <g> iff gcd(j, d) = gcd(k, d)
         cls = np.gcd(np.arange(d), d)
         for c in np.unique(cls).tolist():
@@ -439,7 +429,7 @@ def root_images(G, targets):
     for rows in blocks:
         h = np.arange(rows.start, rows.stop)[:, None]
         e, rem = np.divmod(orders[h], ds)
-        block = power_vec(G, h, np.where(rem == 0, e % orders[h], 0))
+        block = G.pow_vec(h, np.where(rem == 0, e % orders[h], 0))
         if P is None:
             P = block  # a single block is P itself, not a copy
         else:
@@ -470,12 +460,7 @@ def order_of(G, g):
 
 def cyclic_subgroup(G, g):
     g = G.check_element(g)
-    members = [0]
-    cur = g
-    while cur != 0:
-        members.append(cur)
-        cur = G.mul(cur, g)
-    return Subset.of(G, members)
+    return Subset(G, tuple(np.unique(G.pow_vec(g, np.arange(G.orders[g]))).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +543,6 @@ def hom_witness(source, target, f):
         if bad.any():
             return int(np.argmax(bad)), s
     return None
-
-
-def power(G, g, m):
-    """g^m for m >= 0."""
-    return int(power_vec(G, [G.check_element(g)], m)[0])
 
 
 def centralizer(G, S):
@@ -655,7 +635,7 @@ def quotient(G, N):
                     lambda a, b: coset_of[G.mul_vec(reps[a], reps[b])],
                     lambda a: coset_of[G.inv_vec(reps[a])],
                     label=f"{G.label}/N" if G.label else "quotient",
-                    pow_vec=lambda a, e: coset_of[power_vec(G, reps[a], e)])
+                    pow_vec=lambda a, e: coset_of[G.pow_vec(reps[a], e)])
     return Q, Homomorphism.validated(G, Q, coset_of)
 
 
@@ -697,7 +677,7 @@ def _reindexed(G, old, gens):
                     lambda a, b: pos[G.mul_vec(old[a], old[b])],
                     lambda a: pos[G.inv_vec(old[a])],
                     label=f"{G.label}-sub" if G.label else "subgroup",
-                    pow_vec=lambda a, e: pos[power_vec(G, old[a], e)])
+                    pow_vec=lambda a, e: pos[G.pow_vec(old[a], e)])
     H.generators = pos[gens].tolist()
     return H, old.tolist()
 
@@ -913,6 +893,3 @@ def dumps_table(G):
         out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(out)
 
-
-def save_table(G, path):
-    Path(path).write_text(dumps_table(G), encoding="utf-8")

@@ -20,7 +20,6 @@ import numpy as np
 from .kernel import (
     FiniteGroupTable,
     GroupError,
-    Homomorphism,
     InvalidElementError,
     NameView,
     OracleGroup,
@@ -31,8 +30,6 @@ from .kernel import (
     is_prime,
     names_at,
     order_of,
-    power,
-    power_vec,
     prime_factors,
     root_images,
 )
@@ -84,24 +81,10 @@ class PruferElement:
         return cls(p, num, k)
 
     @property
-    def order(self):
-        return self.p ** self.k
-
-    @property
     def name(self):
         if self.k == 0:
             return "0"
         return f"{self.num}/{self.p ** self.k}"
-
-    def __add__(self, other):
-        if self.p != other.p:
-            raise TowerError("mixed primes in Prufer arithmetic")
-        k = max(self.k, other.k)
-        num = self.num * self.p ** (k - self.k) + other.num * self.p ** (k - other.k)
-        return PruferElement.of(self.p, num, k)
-
-    def __neg__(self):
-        return PruferElement.of(self.p, -self.num, self.k)
 
 
 def prufer_name(num, p, k):
@@ -113,11 +96,6 @@ def prufer_fractions(m, n):
     one pass: "0", or the fraction m/n in lowest terms."""
     g = np.gcd(m, n)
     return [f"{a}/{b}" if a else "0" for a, b in zip((m // g).tolist(), (n // g).tolist())]
-
-
-def prufer_names(p, k):
-    """``prufer_name(m, p, k)`` for m = 0 .. p^k - 1."""
-    return prufer_fractions(np.arange(p ** k, dtype=np.int64), p ** k)
 
 
 def fraction_id(name, n):
@@ -200,13 +178,12 @@ class Level(OracleGroup):
     formatted.  The kind's ``ids_of`` reads a list of names by arithmetic
     and accepts an id only if it formats back to the very name, so a level
     accepts exactly its own names, as a name dict would, without building
-    one.  A level given a list of names and no ``ids_of`` looks names up in
-    the dict.  ``order_vec``, when the kind gives it, is a closed form for
+    one.  ``order_vec``, when the kind gives it, is a closed form for
     element orders on index arrays; without it ``orders`` are found by
-    ``element_orders``.  A level materializes as a table only up to a cap.
+    ``element_orders``.
     """
 
-    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None, ids_of=None,
+    def __init__(self, n, names, mul_vec, inv_vec, *, ids_of, label="", pow_vec=None,
                  order_vec=None):
         super().__init__(n, names, mul_vec, inv_vec, label=label, pow_vec=pow_vec)
         self._ids_of = ids_of
@@ -219,21 +196,12 @@ class Level(OracleGroup):
         return self._order_vec(np.arange(self.n, dtype=np.int64))
 
     def lookup(self, name):
-        if self._ids_of is None:
-            return super().lookup(name)
         return int(self._ids_of([name])[0]) if isinstance(name, str) else -1
 
     def ids_of(self, names):
         """The ids of the strings ``names`` as an index array, -1 where a
         string is not a name of this level."""
-        if self._ids_of is None:
-            return np.array([self.lookup(nm) for nm in names], dtype=np.int64)
         return self._ids_of(list(names))
-
-    def group(self, *, cap=4096):
-        if self.n > cap:
-            raise TowerError(f"level of order {self.n} exceeds materialization cap {cap}")
-        return super().group()
 
 
 class Tower:
@@ -312,7 +280,7 @@ class Tower:
             if not self._holds_generators(k + 1) and is_prime(tgt.n // src.n):
                 g = int(np.argmin(hit))
                 in_g = np.zeros(tgt.n, dtype=bool)
-                in_g[power_vec(tgt, g, np.arange(tgt.n))] = True  # ord g divides n
+                in_g[tgt.pow_vec(g, np.arange(tgt.n))] = True  # ord g divides n
                 tgt.generators = [g] + [s for s in emb[src.generators].tolist() if not in_g[s]]
         return self._embeds[k]
 
@@ -320,22 +288,11 @@ class Tower:
         """Whether level k is built and its generators are already known."""
         return k in self._levels and "generators" in vars(self._levels[k])
 
-    def embedding_hom(self, k):
-        """The embedding as a kernel Homomorphism between the levels."""
-        return Homomorphism.validated(self.level(k), self.level(k + 1), self.embed_ids(k))
-
     def birth_level(self, name, max_level):
         for k in range(self.k0, max_level + 1):
             if self.level(k).has(name):
                 return k
         return None
-
-    def new_names(self, k):
-        """Elements appearing first at level k."""
-        if k == self.k0:
-            return list(self.level(k).names)
-        prev = set(self.level(k - 1).names)
-        return [nm for nm in self.level(k).names if nm not in prev]
 
     def theory_names(self, k):
         """Expected K members among level-k names, when the kind predicts one."""
@@ -426,7 +383,7 @@ class T1Tower(Tower):
 
     def _setup_transversal(self):
         H = self.H
-        a_powers = power_vec(H, self.a_gen, np.arange(self.p ** self.n))
+        a_powers = H.pow_vec(self.a_gen, np.arange(self.p ** self.n))
         dec_t = np.full(H.order, -1, dtype=np.int64)
         dec_j = np.full(H.order, -1, dtype=np.int64)
         reps = []
@@ -441,13 +398,9 @@ class T1Tower(Tower):
         self.dec_t = dec_t
         self.dec_j = dec_j
         self.t_count = len(reps)
-        # rep_pow[t, j] = reps[t]^j for j below the rep's order, by walks in H
+        # rep_pow[t, j] = reps[t]^j for j below the rep's order
         self.rep_order = H.orders[self.reps]
-        self.rep_pow = np.zeros((self.t_count, int(self.rep_order.max())), dtype=np.int64)
-        cur = np.zeros(self.t_count, dtype=np.int64)
-        for j in range(1, self.rep_pow.shape[1]):
-            cur = H.table[cur, self.reps]
-            self.rep_pow[:, j] = cur
+        self.rep_pow = H.pow_vec(self.reps[:, None], np.arange(self.rep_order.max()))
         # s_t, the order of reps[t] modulo <a>, and reps[t]^(s_t) = a^(j_t)
         self.rep_s = self.rep_order.copy()
         self.rep_j = np.zeros(self.t_count, dtype=np.int64)
@@ -681,14 +634,11 @@ class T2Tower(Tower):
         if not np.array_equal(alpha[alpha], conj):
             raise ExtensionConditionsFailed("alpha squared is not conjugation by y", k)
         # y^m must be the distinguished involution, making x^{2m} = a
-        if power(blvl, y_id, self.m) != a_id:
+        if int(blvl.pow_vec(y_id, self.m)) != a_id:
             raise ExtensionConditionsFailed(f"y^{self.m} is not the involution a", k)
 
     def c_part_count(self, k):
         return self.base.c_part_count(k)
-
-    def c_names(self, k):
-        return self.base.level(k).names[: self.base.c_part_count(k)]
 
     def theory_names(self, k):
         lvl = self.level(k)
@@ -756,9 +706,6 @@ class QuaternionTower(Tower):
 
     def c_part_count(self, k):
         return 2 ** k
-
-    def c_names(self, k):
-        return self.level(k).names[: 2 ** k]
 
     def theory_names(self, k):
         return {"0", "1/2"}

@@ -172,6 +172,14 @@ class TestLemmasCommand:
         assert code == 0
         assert all(a["status"] == "pass" for a in report["assertions"])
 
+    def test_lemma39_suite_runs_once_for_each_prime_divisor(self, tmp_path, capsys):
+        spec = tmp_path / "z60.json"
+        spec.write_text(json.dumps({"kind": "cyclic", "n": 60, "label": "Z60"}), encoding="utf-8")
+        report, code = run(["lemmas", str(spec), "--suite", "3.9"], capsys)
+        assert code == 0
+        assert [a["name"] for a in report["assertions"]] == [
+            "Z60:p=2:lemma39", "Z60:p=3:lemma39", "Z60:p=5:lemma39"]
+
     def test_closed_form_suite(self, specs, capsys):
         _, code = run(["lemmas", str(specs / "z8.json"), "--suite", "3.8"], capsys)
         assert code == 0

@@ -1,6 +1,10 @@
 """Extra-special builders: Heisenberg, cocycle extensions, tree groups,
 and the quaternion reduction of inverting towers."""
 
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
@@ -31,8 +35,40 @@ from rootsets.kernel import (
     order_of,
     order_profile,
 )
-from rootsets.report import HYPOTHESIS_FAILED
+from rootsets.report import HYPOTHESIS_FAILED, CheckReport
 from rootsets.towers import PruferTower, TowerError, example_t2_tower, quaternion_tower
+
+
+def census_by_enumeration(spec):
+    """The order-2 census as taken by enumerating the group, kept as the
+    reference: every element squared by ``spec.mul_vec``, and Omega_1
+    closed iff every product of two of its members is in it."""
+    nw = spec.w_dim
+    rep = CheckReport(f"order-2 census of treeVW depth {spec.depth}")
+    x = np.arange(spec.group_order, dtype=np.int64)
+    omega = np.flatnonzero(spec.mul_vec(x, x) == 0)  # the identity and the involutions
+    involutions = omega[1:]
+    diff = np.setxor1d(involutions, np.arange(1, 1 << nw)).tolist()
+    rep.add("involutions-are-exactly-nonzero-W", not diff, diff[:5] or None)
+    rep.add("omega1-closed", bool(np.isin(spec.mul_vec(omega[:, None], omega), omega).all()))
+    rep.result = {
+        "group_order": spec.group_order,
+        "involutions": int(involutions.size),
+        "omega1_order": int(omega.size),
+        "expected_omega1_order": 1 << nw,
+    }
+    rep.add("omega1-order-matches", omega.size == 1 << nw)
+    return rep
+
+
+def forged_spec(depth, seed):
+    """The depth's tree spec with random gamma bitmasks: still a bilinear
+    map, so still a group, in which gamma(v, v) = 0 can hold for v != 0."""
+    spec = TreeVWSpec.build(depth)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 1 << spec.w_dim, size=(spec.v_dim, spec.v_dim))
+    bits[rng.random(bits.shape) < 0.5] = 0
+    return dataclasses.replace(spec, gamma_bits=tuple(map(tuple, bits.tolist())))
 
 
 def hand_built_q8():
@@ -185,9 +221,34 @@ class TestTreeGroups:
             assert rep.result["involutions"] == 2 ** (2 ** d - 1) - 1
             assert rep.result["omega1_order"] == rep.result["expected_omega1_order"]
 
-    def test_census_depth_cap(self):
-        with pytest.raises(GroupError, match="depth 4"):
-            omega1_census(4)
+    def test_census_at_depth_four(self):
+        rep = omega1_census(4)
+        assert rep.ok
+        assert rep.result["involutions"] == 2 ** 15 - 1
+        assert rep.result["omega1_order"] == 2 ** 15
+        assert rep.result["group_order"] == 2 ** 31
+
+    def test_census_equals_enumeration(self):
+        for d in (1, 2, 3):
+            got = json.dumps(omega1_census(d).to_json())
+            assert got == json.dumps(census_by_enumeration(TreeVWSpec.build(d)).to_json()), d
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_census_equals_enumeration_on_forged_gammas(self, seed, monkeypatch):
+        spec = forged_spec(1 + seed % 2, seed)
+        monkeypatch.setattr(TreeVWSpec, "build", classmethod(lambda cls, depth: spec))
+        got = omega1_census(spec.depth)
+        assert json.dumps(got.to_json()) == json.dumps(census_by_enumeration(spec).to_json())
+
+    def test_law_profile_equals_element_orders(self):
+        for d in (1, 2, 3):
+            assert TreeVWSpec.build(d).order_profile() == order_profile(tree_vw_group(d)), d
+        for seed in range(12):
+            spec = forged_spec(1 + seed % 2, seed)
+            n = spec.group_order
+            G = OracleGroup(n, [spec.element_name(g) for g in range(n)], spec.mul_vec,
+                            spec.inv_vec)
+            assert spec.order_profile() == order_profile(G), seed
 
     def test_depth_bounds(self):
         with pytest.raises(GroupError):

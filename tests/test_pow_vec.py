@@ -13,8 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rootsets.catalog import generalized_quaternion, symmetric
 from rootsets.cli import KINDS, build_tower, parse_spec
-from rootsets.kernel import element_orders, power_vec, roots
+from rootsets.kernel import (
+    OracleGroup,
+    binary_power_vec,
+    closure,
+    element_orders,
+    generated_subgroup,
+    quotient,
+    roots,
+)
 from rootsets.towers import Level
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -99,17 +108,44 @@ def powers(draw):
 def test_pow_vec_matches_binary_powers_on_drawn_pairs(case):
     lvl, pairs = case
     x, e = map(np.array, zip(*pairs))
-    got = lvl.pow_vec(x, e)
-    assert np.array_equal(got, binary_power(lvl, x, e))
-    assert np.array_equal(power_vec(lvl, x, e), got)
+    assert np.array_equal(lvl.pow_vec(x, e), binary_power(lvl, x, e))
 
 
 def test_levels_without_a_closed_form_use_binary_powers():
     n = 96
-    lvl = Level(n, [str(i) for i in range(n)], lambda a, b: (a + b) % n, lambda a: (-a) % n)
+    G = OracleGroup(n, [str(i) for i in range(n)], lambda a, b: (a + b) % n, lambda a: (-a) % n)
     x = np.arange(n)
-    assert np.array_equal(power_vec(lvl, x, 7), 7 * x % n)
-    assert np.array_equal(lvl.pow_vec(x[:, None], [0, 5]), np.stack([0 * x, 5 * x % n], 1))
+    assert np.array_equal(G.pow_vec(x, 7), 7 * x % n)
+    assert np.array_equal(G.pow_vec(x[:, None], [0, 5]), np.stack([0 * x, 5 * x % n], 1))
+
+
+def scalar_groups():
+    """Level k0 + 1 of every bundled tower, a table, and subgroups and
+    quotients, which answer powers through their parent's ``pow_vec``."""
+    for name in sorted(TOWER_SPECS):
+        t = tower(name)
+        yield name, t.level(t.k0 + 1)
+    S4 = symmetric(4)
+    yield "S4", S4
+    yield "S4-sub", generated_subgroup(S4, [S4.id_of("1230"), S4.id_of("1032")])[0]
+    Q16 = generalized_quaternion(16)
+    yield "Q16/Z2", quotient(Q16, closure(Q16, [Q16.id_of("c4")]))[0]
+    quat = tower("quat").level(4)
+    yield "quat-sub", generated_subgroup(quat, [quat.id_of("x.0"), quat.id_of("1/4")])[0]
+
+
+SCALAR_GROUPS = dict(scalar_groups())
+
+
+@pytest.mark.parametrize("name", list(SCALAR_GROUPS))
+def test_pow_vec_on_a_scalar_matches_binary_powers(name):
+    G = SCALAR_GROUPS[name]
+    for m in (0, 1, 2, 3, 5, 7):
+        want = binary_power_vec(G, np.arange(G.n), m)
+        for g in range(G.n):
+            for arg in (g, np.int64(g)):
+                got = G.pow_vec(arg, m)
+                assert np.ndim(got) == 0 and int(got) == want[g], (name, g, m)
 
 
 @pytest.mark.parametrize("name", ["prufer2", "quat"])

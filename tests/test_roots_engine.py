@@ -30,11 +30,10 @@ from rootsets.kernel import (
     generating_set,
     order_of,
     order_profile,
-    power_vec,
     roots,
     subgroup_table,
 )
-from rootsets.towers import Level, prufer_name, prufer_names
+from rootsets.towers import prufer_fractions, prufer_name
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 # the highest level each tower in specs/ reaches in the benchmark's k-estimate jobs
@@ -132,11 +131,12 @@ def test_power_vec_matches_repeated_products():
         for _ in range(m):
             cur = G.mul(cur, g)
         expect.append(cur)
-    assert power_vec(G, x, e).tolist() == expect
+    assert G.pow_vec(x, e).tolist() == expect
 
 
 def counting_prufer_level(k):
-    """The cyclic group of order 2^k as a Level that records each mul_vec call."""
+    """The cyclic group of order 2^k, with no closed form for powers, as an
+    OracleGroup that records each mul_vec call."""
     n = 2 ** k
     calls = []
 
@@ -144,7 +144,8 @@ def counting_prufer_level(k):
         calls.append(np.size(a))
         return (a + b) % n
 
-    return Level(n, prufer_names(2, k), mul_vec, lambda a: (-a) % n, label=f"Z{n}"), calls
+    names = prufer_fractions(np.arange(n), n)
+    return OracleGroup(n, names, mul_vec, lambda a: (-a) % n, label=f"Z{n}"), calls
 
 
 def test_roots_take_logarithmic_mul_vec_calls():
@@ -214,7 +215,7 @@ def lemma31_by_loops(G, R):
 def lemma39_by_loops(G, p, R):
     n = G.order
     wit = next(((G.names[x], G.names[g], G.names[y]) for x in range(n) for g in range(n)
-                if not R[g, power_vec(G, [x], p)[0]] for y in range(n) if R[g, y] and R[y, x]),
+                if not R[g, int(G.pow_vec(x, p))] for y in range(n) if R[g, y] and R[y, x]),
                None)
     return [("lemma39", wit is None, wit)]
 
@@ -249,4 +250,5 @@ def test_subgroup_table_is_one_gather():
 def test_prufer_names_match_prufer_name():
     for p, top in ((2, 7), (3, 5), (5, 3)):
         for k in range(top):
-            assert prufer_names(p, k) == [prufer_name(m, p, k) for m in range(p ** k)]
+            m = np.arange(p ** k)
+            assert prufer_fractions(m, p ** k) == [prufer_name(x, p, k) for x in m.tolist()]

@@ -54,8 +54,8 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name,args", [
     ("eta_growth_sweep.py", ["specs/t2.json", "--max-level", "5", "--limit", "3"]),
     ("cocycle_census.py", ["--base", "z4"]),
-    ("tree_depth_profile.py", ["--max-depth", "3", "--samples", "20"]),
-    ("tree_depth_profile.py", ["--max-depth", "4", "--samples", "20"]),
+    ("tree_depth_profile.py", ["--max-depth", "3"]),
+    ("tree_depth_profile.py", ["--max-depth", "4"]),
 ])
 def test_script_runs(name, args):
     proc = run_script(name, *args)
@@ -73,3 +73,11 @@ def test_tree_depth_profile_is_exhaustive_to_depth_three():
     proc = run_script("tree_depth_profile.py", "--max-depth", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == TREE_PROFILE
+
+
+def test_tree_depth_profile_is_exact_at_depth_four():
+    proc = run_script("tree_depth_profile.py", "--max-depth", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == TREE_PROFILE + (
+        "depth 4: order 2^31 (V dim 16, W dim 15), exhaustive\n"
+        "  element orders: {1: 1, 2: 32767, 4: 2147450880}\n")
