@@ -13,6 +13,7 @@ from .kernel import (  # noqa: F401
     centralizer,
     closure,
     commutator,
+    cosets,
     cyclic_subgroup,
     derived_subgroup,
     direct_product,
@@ -37,17 +38,16 @@ from .eta import (  # noqa: F401
 from .towers import (  # noqa: F401
     EtaReport,
     KReport,
-    PruferElement,
+    PruferTower,
+    QuaternionTower,
+    QuotientTower,
+    T1Tower,
+    T2Tower,
     Tower,
     eta_stabilized,
     example_t2_tower,
     inversion_recipe,
     k_estimate,
-    prufer_tower,
-    quaternion_tower,
-    quotient_tower,
-    t1_tower,
-    t2_tower,
 )
 from .constructions import (  # noqa: F401
     CocycleTable,

@@ -4,7 +4,6 @@ quaternion reduction of index-2 inverting towers."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,8 @@ def central_extension(c):
 
 
 # The pinned cocycle over Z2 x Z2 whose extension has the quaternion order
-# profile (1, 1, 6); lexicographically least such table, found once by brute
-# force (re-derived by `search_quaternion_cocycle`, cross-checked in tests).
+# profile (1, 1, 6); lexicographically least such table, the first that
+# scripts/cocycle_census.py lists for that profile (cross-checked in tests).
 Q8_COCYCLE_ROWS = (
     (0, 0, 0, 0),
     (0, 1, 0, 1),
@@ -154,26 +153,6 @@ Q8_COCYCLE_ROWS = (
 def q8_cocycle(base):
     """The pinned quaternion-profile cocycle over a Klein four-group."""
     return CocycleTable.of(base, 2, Q8_COCYCLE_ROWS)
-
-
-def search_quaternion_cocycle(base):
-    """Brute-force the lexicographically least normalized 2-cocycle over a
-    Klein four-group whose extension has the quaternion order profile."""
-    if base.order != 4:
-        raise GroupError("search expects a group of order 4")
-    free = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    for bits in itertools.product((0, 1), repeat=9):
-        rows = [[0] * 4 for _ in range(4)]
-        for (i, j), v in zip(free, bits):
-            rows[i][j] = v
-        try:
-            c = CocycleTable.of(base, 2, rows)
-        except CocycleError:
-            continue
-        G = central_extension(c)
-        if order_profile(G) == {1: 1, 2: 1, 4: 6}:
-            return c
-    raise GroupError("no quaternion-profile cocycle found")
 
 
 # ---------------------------------------------------------------------------

@@ -620,17 +620,30 @@ def check_normal(G, N):
                 witness=(h, n))
 
 
+def cosets(G, N):
+    """The left cosets gN of a subgroup N, as (reps, coset_of, rows).
+
+    ``reps`` holds the least id of each coset, in increasing order, so the
+    identity's coset is coset 0; ``coset_of`` maps each id of G to its
+    coset; row c of ``rows`` is reps[c] N, in the order of N.  The cosets
+    are read from one n x |N| product (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4, on transversals).
+    """
+    N = _indices(G, N)
+    rows = G.mul_vec(np.arange(G.order, dtype=np.int64)[:, None], N)  # row g holds gN
+    reps, coset_of = np.unique(rows.min(axis=1), return_inverse=True)
+    return reps, coset_of.reshape(-1), rows[reps]
+
+
 def quotient(G, N):
     """Coset group G/N with its canonical projection.
 
-    Coset representatives are minimal element indices; the identity coset
-    comes first and the rest follow in representative order.  G/N is an
-    OracleGroup on the representatives, each product one gather through G.
+    Cosets are numbered as ``cosets`` numbers them, by least element index,
+    and named by that element.  G/N is an OracleGroup on the
+    representatives, each product one gather through G.
     """
     check_normal(G, N)
-    cosets = G.mul_vec(np.arange(G.order)[:, None], _indices(G, N))  # row g holds gN
-    reps, coset_of = np.unique(cosets.min(axis=1), return_inverse=True)
-    coset_of = coset_of.reshape(-1)
+    reps, coset_of, _ = cosets(G, N)
     Q = OracleGroup(reps.size, [f"[{nm}]" for nm in names_at(G, reps)],
                     lambda a, b: coset_of[G.mul_vec(reps[a], reps[b])],
                     lambda a: coset_of[G.inv_vec(reps[a])],

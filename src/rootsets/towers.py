@@ -22,9 +22,12 @@ from .kernel import (
     GroupError,
     InvalidElementError,
     NameView,
+    NotNormalError,
     OracleGroup,
     center,
+    check_normal,
     closure,
+    cosets,
     element_orders,
     hom_witness,
     is_prime,
@@ -60,40 +63,11 @@ class ExtensionConditionsFailed(GroupError):
 
 
 # ---------------------------------------------------------------------------
-# Prufer elements
-
-@dataclass(frozen=True)
-class PruferElement:
-    """An element of Z_{p^infinity} as a normalized fraction num / p^k mod 1."""
-
-    p: int
-    num: int
-    k: int
-
-    @classmethod
-    def of(cls, p, num, k):
-        num %= p ** k
-        while k > 0 and num % p == 0:
-            num //= p
-            k -= 1
-        if num == 0:
-            k = 0
-        return cls(p, num, k)
-
-    @property
-    def name(self):
-        if self.k == 0:
-            return "0"
-        return f"{self.num}/{self.p ** self.k}"
-
-
-def prufer_name(num, p, k):
-    return PruferElement.of(p, num, k).name
-
+# Prufer names
 
 def prufer_fractions(m, n):
-    """``prufer_name`` of the ids ``m`` (an index array) of Z_n, n = p^k, in
-    one pass: "0", or the fraction m/n in lowest terms."""
+    """The names of the ids ``m`` (an index array) of Z_n, the elements m/n
+    mod 1 of Z_(p^infinity), in one pass: "0", or m/n in lowest terms."""
     g = np.gcd(m, n)
     return [f"{a}/{b}" if a else "0" for a, b in zip((m // g).tolist(), (n // g).tolist())]
 
@@ -294,6 +268,14 @@ class Tower:
                 return k
         return None
 
+    def born(self, name, what):
+        """The birth level of the ``what`` named ``name``, looked for up to
+        GENERATOR_SEARCH_DEPTH levels past k0."""
+        k = self.birth_level(name, self.k0 + GENERATOR_SEARCH_DEPTH)
+        if k is None:
+            raise TowerError(f"{what} {name!r} never appears in the base tower")
+        return k
+
     def theory_names(self, k):
         """Expected K members among level-k names, when the kind predicts one."""
         return None
@@ -324,34 +306,14 @@ class PruferTower(Tower):
     def embed_vec(self, k, ids):
         return ids * self.p
 
-    def c_involution_name(self):
-        if self.p != 2:
-            raise TowerError("the distinguished involution needs p = 2")
-        return "1/2"
-
     def transversal_names(self):
         return ["0"]
 
     def c_part_count(self, k):
         return self.p ** k
 
-    def _alpha_map(self, k, recipe):
-        lvl = self.level(k)
-        base = np.arange(lvl.n, dtype=np.int64)
-        if "0" not in recipe:
-            raise TowerError("recipe missing transversal rep '0'")
-        rep_name, (num, den) = recipe["0"]
-        if rep_name != "0":
-            raise TowerError("prufer recipe must fix the trivial transversal")
-        off = num * lvl.n // den
-        return (off - base) % lvl.n
-
     def theory_names(self, k):
         return set(self.level(k).names)
-
-
-def prufer_tower(p):
-    return PruferTower(p)
 
 
 class T1Tower(Tower):
@@ -379,25 +341,13 @@ class T1Tower(Tower):
         self.a_gen = a_gen
         self.n = prime_factors(a_order).get(p, 0)
         self.label = label
-        self._setup_transversal()
-
-    def _setup_transversal(self):
-        H = self.H
-        a_powers = H.pow_vec(self.a_gen, np.arange(self.p ** self.n))
-        dec_t = np.full(H.order, -1, dtype=np.int64)
-        dec_j = np.full(H.order, -1, dtype=np.int64)
-        reps = []
-        for h in range(H.order):
-            if dec_t[h] == -1:
-                coset = H.mul_vec(h, a_powers)  # h * a^j
-                dec_t[coset], dec_j[coset] = len(reps), np.arange(a_powers.size)
-                reps.append(h)
-        self.reps = np.array(reps, dtype=np.int64)
-        self._rep_names = [H.names[r] for r in reps]
+        # h = reps[dec_t[h]] a^(dec_j[h]): row t of the cosets is reps[t] a^j
+        self.reps, self.dec_t, rows = cosets(H, H.pow_vec(a_gen, np.arange(a_order)))
+        self.dec_j = np.empty(H.order, dtype=np.int64)
+        self.dec_j[rows] = np.arange(a_order)
+        self._rep_names = names_at(H, self.reps)
         self._rep_pos = {nm: t for t, nm in enumerate(self._rep_names)}
-        self.dec_t = dec_t
-        self.dec_j = dec_j
-        self.t_count = len(reps)
+        self.t_count = self.reps.size
         # rep_pow[t, j] = reps[t]^j for j below the rep's order
         self.rep_order = H.orders[self.reps]
         self.rep_pow = H.pow_vec(self.reps[:, None], np.arange(self.rep_order.max()))
@@ -405,10 +355,10 @@ class T1Tower(Tower):
         self.rep_s = self.rep_order.copy()
         self.rep_j = np.zeros(self.t_count, dtype=np.int64)
         for t in range(self.t_count):
-            in_a = np.flatnonzero(dec_t[self.rep_pow[t, 1:self.rep_order[t]]] == 0)
+            in_a = np.flatnonzero(self.dec_t[self.rep_pow[t, 1:self.rep_order[t]]] == 0)
             if in_a.size:
                 self.rep_s[t] = in_a[0] + 1
-                self.rep_j[t] = dec_j[self.rep_pow[t, in_a[0] + 1]]
+                self.rep_j[t] = self.dec_j[self.rep_pow[t, in_a[0] + 1]]
 
     @property
     def k0(self):
@@ -476,48 +426,12 @@ class T1Tower(Tower):
     def c_part_count(self, k):
         return self.p ** k
 
-    def c_involution_name(self):
-        if self.p != 2:
-            raise TowerError("the distinguished involution needs p = 2")
-        return f"{self.H.names[self.reps[0]]}.1/2"
-
     def transversal_names(self):
         return list(self._rep_names)
-
-    def _alpha_map(self, k, recipe):
-        """Automorphism candidate from a per-transversal recipe.
-
-        The C part is central, so a map inverting C is determined by its
-        values on transversal representatives: rep -> (rep', fractional offset).
-        """
-        lvl = self.level(k)
-        ck = self.p ** k
-        t_img = np.empty(self.t_count, dtype=np.int64)
-        off = np.empty(self.t_count, dtype=np.int64)
-        rep_names = self.transversal_names()
-        rep_pos = {nm: t for t, nm in enumerate(rep_names)}
-        for t, nm in enumerate(rep_names):
-            try:
-                tgt_name, (num, den) = recipe[nm]
-            except KeyError:
-                raise TowerError(f"recipe missing transversal rep {nm!r}") from None
-            if tgt_name not in rep_pos:
-                raise TowerError(f"recipe target {tgt_name!r} is not a transversal rep")
-            if ck % den:
-                raise TowerError(f"recipe offset {num}/{den} not expressible at level {k}")
-            t_img[t] = rep_pos[tgt_name]
-            off[t] = (num * (ck // den)) % ck
-        base = np.arange(lvl.n, dtype=np.int64)
-        t, m = np.divmod(base, ck)
-        return t_img[t] * ck + (off[t] - m) % ck
 
     def theory_names(self, k):
         ck = self.p ** k
         return set(self.level(k).names[:ck])
-
-
-def t1_tower(H, p, a_gen, *, label=""):
-    return T1Tower(H, p, a_gen, label=label)
 
 
 def inversion_recipe(base):
@@ -548,16 +462,14 @@ class T2Tower(Tower):
             raise TowerError("m must be >= 1")
         self.recipe = recipe
         self.label = label
-        self.a_name = base.c_involution_name()
+        # the involution of C, the base id c_k / 2 at every level k
+        self.a_name = base.level(base.k0).names[base.c_part_count(base.k0) // 2]
         self._k0 = None
 
     @property
     def k0(self):
         if self._k0 is None:
-            birth = self.base.birth_level(self.y_name, self.base.k0 + GENERATOR_SEARCH_DEPTH)
-            if birth is None:
-                raise TowerError(f"y element {self.y_name!r} never appears in the base tower")
-            self._k0 = max(self.base.k0, birth, 1)
+            self._k0 = max(self.base.k0, self.base.born(self.y_name, "y element"), 1)
         return self._k0
 
     @property
@@ -570,7 +482,7 @@ class T2Tower(Tower):
             # base level k inherits the generators _check_conditions reads
             self.base.embed_ids(k - 1)
         nb = blvl.n
-        alpha = self.base._alpha_map(k, self.recipe)
+        alpha = self._alpha_map(k)
         y_id = blvl.id_of(self.y_name)
         a_id = blvl.id_of(self.a_name)
         self._check_conditions(blvl, alpha, y_id, a_id, k)
@@ -613,6 +525,34 @@ class T2Tower(Tower):
                      label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
                      order_vec=order_vec)
 
+    def _alpha_map(self, k):
+        """The automorphism candidate of base level k that the recipe gives.
+
+        Base level k is on the ids t c_k + m, for t a transversal rep (a
+        Prufer base has the one rep "0") and m the C coordinate, c_k =
+        ``c_part_count(k)``.  C is central, so a map inverting C is
+        determined by its values on the transversal reps: rep -> (rep',
+        fractional offset), and the offset must be an element of level k.
+        """
+        ck = self.base.c_part_count(k)
+        rep_names = self.base.transversal_names()
+        rep_pos = {nm: t for t, nm in enumerate(rep_names)}
+        t_img = np.empty(len(rep_names), dtype=np.int64)
+        off = np.empty(len(rep_names), dtype=np.int64)
+        for t, nm in enumerate(rep_names):
+            try:
+                tgt_name, (num, den) = self.recipe[nm]
+            except KeyError:
+                raise TowerError(f"recipe missing transversal rep {nm!r}") from None
+            if tgt_name not in rep_pos:
+                raise TowerError(f"recipe target {tgt_name!r} is not a transversal rep")
+            if ck % den:
+                raise TowerError(f"recipe offset {num}/{den} not expressible at level {k}")
+            t_img[t] = rep_pos[tgt_name]
+            off[t] = (num * (ck // den)) % ck
+        t, m = np.divmod(np.arange(len(rep_names) * ck, dtype=np.int64), ck)
+        return t_img[t] * ck + (off[t] - m) % ck
+
     def embed_vec(self, k, ids):
         # (e, g) -> (e, base emb g)
         e, g = np.divmod(ids, self.base.level(k).n)
@@ -643,10 +583,6 @@ class T2Tower(Tower):
     def theory_names(self, k):
         lvl = self.level(k)
         return {lvl.names[0], self.a_name}
-
-
-def t2_tower(base, y_name, m, recipe, *, label=""):
-    return T2Tower(base, y_name, m, recipe, label=label)
 
 
 def example_t2_tower():
@@ -711,16 +647,13 @@ class QuaternionTower(Tower):
         return {"0", "1/2"}
 
 
-def quaternion_tower():
-    return QuaternionTower()
-
-
 class QuotientTower(Tower):
     """Level-wise quotient of a tower by the finite subgroup its names generate.
 
     The generated subgroup must be the same set of names at every level, and
-    normal at every level.  Coset names are the lexicographically least member
-    name, which is stable across levels.
+    normal at every level.  Cosets are numbered by ``cosets``, by least base
+    id.  A coset is named by its lexicographically least member name, in
+    brackets, which is stable across levels; it is formatted only when asked.
     """
 
     kind = "quotient-of-tower"
@@ -731,13 +664,7 @@ class QuotientTower(Tower):
         self.gen_names = list(gen_names)
         self.label = label
         self._n_names = None
-        births = []
-        for nm in self.gen_names:
-            b = base.birth_level(nm, base.k0 + GENERATOR_SEARCH_DEPTH)
-            if b is None:
-                raise TowerError(f"generator {nm!r} never appears in the base tower")
-            births.append(b)
-        self._k0 = max([base.k0] + births)
+        self._k0 = max([base.k0] + [base.born(nm, "generator") for nm in self.gen_names])
 
     @property
     def k0(self):
@@ -760,28 +687,19 @@ class QuotientTower(Tower):
 
     def _build_level(self, k):
         blvl = self.base.level(k)
-        N = np.array(self._subgroup_at(k), dtype=np.int64)
-        all_ids = np.arange(blvl.n, dtype=np.int64)
-        inv_all = blvl.inv_vec(all_ids)
-        for nn in N.tolist():
-            conj = blvl.mul_vec(blvl.mul_vec(inv_all, np.int64(nn)), all_ids)
-            bad = ~np.isin(conj, N)
-            if bad.any():
-                g = int(all_ids[bad][0])
-                raise TowerError(
-                    f"not normal at level {k}: conjugate of {blvl.names[nn]} "
-                    f"by {blvl.names[g]} escapes")
-        cosets = blvl.mul_vec(all_ids[:, None], N)  # row g holds the coset gN
-        reps, cmap = np.unique(cosets.min(axis=1), return_inverse=True)
-        # coset names are eager: the coset order below depends on them
-        member_names = names_at(blvl, cosets[reps].reshape(-1))
-        least = [min(member_names[i:i + N.size]) for i in range(0, len(member_names), N.size)]
-        order = [0] + sorted(range(1, reps.size), key=least.__getitem__)
-        relabel = np.empty(reps.size, dtype=np.int64)
-        relabel[order] = np.arange(reps.size)
-        cmap = relabel[cmap]
-        reps = reps[order]
-        names = [f"[{least[i]}]" for i in order]
+        N = self._subgroup_at(k)
+        try:
+            check_normal(blvl, N)
+        except NotNormalError as exc:
+            g, nn = exc.witness
+            raise TowerError(f"not normal at level {k}: conjugate of {blvl.names[nn]} "
+                             f"by {blvl.names[g]} escapes") from None
+        reps, cmap, rows = cosets(blvl, N)
+
+        def fmt(c):
+            member_names = names_at(blvl, rows[c].reshape(-1))
+            return [f"[{min(member_names[i:i + len(N)])}]"
+                    for i in range(0, len(member_names), len(N))]
 
         def mul_vec(a, b):
             return cmap[blvl.mul_vec(reps[a], reps[b])]
@@ -798,10 +716,9 @@ class QuotientTower(Tower):
             at = [j for j, nm in enumerate(ask) if nm[:1] == "[" and nm[-1:] == "]"]
             g = np.full(len(ask), -1, dtype=np.int64)
             g[at] = blvl.ids_of([ask[j][1:-1] for j in at])
-            return formatted_back(np.where(g >= 0, cmap[g], -1), ask,
-                                  lambda c: [names[i] for i in c.tolist()])
+            return formatted_back(np.where(g >= 0, cmap[g], -1), ask, fmt)
 
-        lvl = Level(reps.size, names, mul_vec, inv_vec,
+        lvl = Level(reps.size, NameView(reps.size, fmt), mul_vec, inv_vec,
                     label=f"{self.label or 'quotient'}-level{k}", pow_vec=pow_vec, ids_of=ids_of)
         lvl.projection = cmap  # base level id -> coset id
         lvl.reps = reps        # coset id -> its least base level id
@@ -820,10 +737,6 @@ class QuotientTower(Tower):
         if not self._n_names <= base_theory:
             return None  # quotient subgroup is not inside the predicted K
         return {lvl.names[int(lvl.projection[blvl.id_of(nm)])] for nm in base_theory}
-
-
-def quotient_tower(base, gen_names, *, label=""):
-    return QuotientTower(base, gen_names, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ and the quaternion reduction of inverting towers."""
 
 import dataclasses
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from rootsets.constructions import (
     omega1_census,
     q8_cocycle,
     quaternion_reduce,
-    search_quaternion_cocycle,
     tree_vw_group,
 )
 from rootsets.kernel import (
@@ -36,7 +38,9 @@ from rootsets.kernel import (
     order_profile,
 )
 from rootsets.report import HYPOTHESIS_FAILED, CheckReport
-from rootsets.towers import PruferTower, TowerError, example_t2_tower, quaternion_tower
+from rootsets.towers import PruferTower, QuaternionTower, TowerError, example_t2_tower
+
+CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "cocycle_census.py"
 
 
 def census_by_enumeration(spec):
@@ -160,10 +164,14 @@ class TestCocycles:
         with pytest.raises(CocycleError, match="0..1"):
             CocycleTable.of(klein, 2, [[0, 0, 0, 0]] * 3 + [[0, 0, 0, 5]])
 
-    def test_search_finds_the_pinned_cocycle(self):
-        klein = direct_product(cyclic(2), cyclic(2))
-        found = search_quaternion_cocycle(klein)
-        assert found.w == Q8_COCYCLE_ROWS
+    def test_search_finds_the_pinned_cocycle(self, monkeypatch, capsys):
+        # the census lists the normalized candidates in lexicographic order,
+        # and the first cocycle of each order profile
+        monkeypatch.setattr(sys, "argv", [str(CENSUS)])
+        runpy.run_path(str(CENSUS), run_name="__main__")
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.strip().startswith("profile {1: 1, 2: 1, 4: 6}:"))
+        assert line.partition("first = ")[2] == str(Q8_COCYCLE_ROWS)
 
 
 class TestTreeGroups:
@@ -283,7 +291,7 @@ class TestQuaternionReduction:
         # m = 2 halves once: two steps; m = 1 goes straight to the odd case
         t2 = quaternion_reduce(example_t2_tower(), 4)
         assert len(t2.steps) == 2
-        q = quaternion_reduce(quaternion_tower(), 4)
+        q = quaternion_reduce(QuaternionTower(), 4)
         assert [(s.m, s.parity) for s in q.steps] == [(1, "odd")]
         assert q.section.order == 32
         assert q.ok

@@ -265,7 +265,7 @@ class TestForgedMaps:
         tower = example_t2_tower()
         k = 5
         base = tower.base
-        true_alpha = base._alpha_map(k, tower.recipe)
+        true_alpha = tower._alpha_map(k)
         blvl = base.level(k)
         n = blvl.n
         ids = np.arange(n, dtype=np.int64)
@@ -280,7 +280,7 @@ class TestForgedMaps:
         forged = true_alpha.copy()
         forged[[u, v]] = forged[[v, u]]
         assert not brute_is_hom(forged)
-        base._alpha_map = lambda level, recipe: forged
+        tower._alpha_map = lambda level: forged
         with pytest.raises(ExtensionConditionsFailed, match="alpha is not a homomorphism"):
             tower.level(k)
         assert_real_hom_failure(blvl, blvl, forged, hom_witness(blvl, blvl, forged))

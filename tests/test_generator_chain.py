@@ -31,11 +31,11 @@ from rootsets.kernel import (
 from rootsets.towers import (
     Level,
     PruferTower,
+    QuaternionTower,
     Tower,
     TowerError,
     k_estimate,
     prufer_level,
-    quaternion_tower,
 )
 
 kernel = importlib.import_module("rootsets.kernel")
@@ -197,7 +197,7 @@ def test_a_t2_reduction_builds_the_next_base_level_from_the_chain(greedy_calls):
 # gives each section
 
 
-@pytest.mark.parametrize("tower", [load("t2"), quaternion_tower()], ids=["t2", "quat"])
+@pytest.mark.parametrize("tower", [load("t2"), QuaternionTower()], ids=["t2", "quat"])
 def test_the_c_part_is_the_first_ids(tower):
     for k in levels_up_to(tower, MAX_ORDER):
         G = tower.level(k)
@@ -208,7 +208,7 @@ def test_the_c_part_is_the_first_ids(tower):
         assert is_subgroup(G, C) and G.orders[C].max() == C.size, k  # cyclic
 
 
-@pytest.mark.parametrize("tower", [load("t2"), quaternion_tower()], ids=["t2", "quat"])
+@pytest.mark.parametrize("tower", [load("t2"), QuaternionTower()], ids=["t2", "quat"])
 def test_generated_subgroup_is_subgroup_table_of_the_closure(tower):
     """generated_subgroup(G, seed) is subgroup_table(G, closure(G, seed)), up
     to its generators, which must still generate H."""

@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ from rootsets.towers import (
     T1Tower,
     T2Tower,
     TowerError,
+    example_t2_tower,
     k_estimate,
-    prufer_name,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,21 +68,26 @@ def levels_up_to(tower, max_order):
     return range(tower.k0, k)
 
 
+def fractions(p, k):
+    """The Prufer names of Z_(p^k): m / p^k mod 1 in lowest terms, "0" for 0."""
+    return [str(Fraction(m, p ** k)) for m in range(p ** k)]
+
+
 def reference_names(tower, k):
-    """Level k's names as the eager name lists built them, from ``prufer_name``."""
+    """Level k's names as the eager name lists built them."""
     if isinstance(tower, PruferTower):
-        return [prufer_name(m, tower.p, k) for m in range(tower.p ** k)]
+        return fractions(tower.p, k)
     if isinstance(tower, QuaternionTower):
-        c = [prufer_name(m, 2, k) for m in range(2 ** k)]
+        c = fractions(2, k)
         return c + [f"x.{nm}" for nm in c]
     if isinstance(tower, T1Tower):
-        c = [prufer_name(m, tower.p, k) for m in range(tower.p ** k)]
+        c = fractions(tower.p, k)
         return [f"{tower.H.names[r]}.{nm}" for r in tower.reps.tolist() for nm in c]
     if isinstance(tower, T2Tower):
         base = reference_names(tower.base, k)
         return base + [f"x.{nm}" for nm in base]
     assert isinstance(tower, QuotientTower)
-    return None  # coset names are eager lists already
+    return None  # test_quotient_cosets_are_numbered_by_least_base_id
 
 
 class _NoLevelDicts:
@@ -147,6 +153,70 @@ def test_t1_orders_match_descent_on_corpus_amalgams():
                 for k in range(tower.k0, tower.k0 + 2):
                     lvl = tower.level(k)
                     assert np.array_equal(lvl.orders, element_orders(lvl)), (gname, a, p, k)
+
+
+# ---------------------------------------------------------------------------
+# cosets: one decomposition behind quotient levels and T1 transversals
+
+
+def loop_transversal(H, a, order):
+    """The T1 transversal as a per-element loop builds it: (reps, dec_t,
+    dec_j) with h = reps[dec_t[h]] a^(dec_j[h])."""
+    a_powers = H.pow_vec(a, np.arange(order))
+    dec_t = np.full(H.order, -1, dtype=np.int64)
+    dec_j = np.full(H.order, -1, dtype=np.int64)
+    reps = []
+    for h in range(H.order):
+        if dec_t[h] == -1:
+            coset = H.mul_vec(h, a_powers)  # h * a^j
+            dec_t[coset], dec_j[coset] = len(reps), np.arange(a_powers.size)
+            reps.append(h)
+    return np.array(reps, dtype=np.int64), dec_t, dec_j
+
+
+def test_cosets_give_the_t1_transversal_on_corpus_amalgams():
+    for gname, H in corpus().items():
+        for a in center(H):
+            primes = set(prime_factors(order_of(H, a)))
+            if len(primes) > 1:
+                continue
+            for p in primes or {2, 3}:
+                tower = T1Tower(H, p, a)
+                reps, dec_t, dec_j = loop_transversal(H, a, order_of(H, a))
+                for got, want in ((tower.reps, reps), (tower.dec_t, dec_t),
+                                  (tower.dec_j, dec_j)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (gname, a, p)
+                assert tower.transversal_names() == [H.names[r] for r in reps.tolist()]
+
+
+QUOTIENTS = {"quot": lambda: load("quot"),
+             "t2-mod-e.1/4": lambda: QuotientTower(example_t2_tower(), ["e.1/4"])}
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+def test_quotient_cosets_are_numbered_by_least_base_id(name):
+    """Coset c is the c-th least base id's coset, and its name is the least
+    of its members' base names, in brackets, by brute force."""
+    tower = QUOTIENTS[name]()
+    for k in levels_up_to(tower, MAX_ORDER):
+        lvl, base_names = tower.level(k), list(tower.base.level(k).names)
+        assert lvl.reps[0] == 0 and np.all(np.diff(lvl.reps) > 0), k
+        first, least = {}, {}
+        for g, c in enumerate(lvl.projection.tolist()):
+            first.setdefault(c, g)
+            least[c] = min(least.get(c, base_names[g]), base_names[g])
+        assert lvl.reps.tolist() == [first[c] for c in range(lvl.n)], k
+        assert list(lvl.names) == [f"[{least[c]}]" for c in range(lvl.n)], k
+
+
+def test_building_a_quotient_level_formats_at_most_n_base_names():
+    for k in levels_up_to(load("quot"), MAX_ORDER):
+        tower = load("quot")
+        names = tower.base.level(k).names
+        formatted, fmt = [], names.format
+        names.format = lambda ids: formatted.extend(np.ravel(ids).tolist()) or fmt(ids)
+        lvl = tower.level(k)
+        assert len(formatted) <= tower.base.level(k).n // lvl.n, (k, len(formatted))
 
 
 def test_name_view_reads_as_the_list_of_names():

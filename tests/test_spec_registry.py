@@ -104,6 +104,10 @@ def _t2_alpha(alpha):
      "recipe target 'nope' is not a transversal rep"),
     ({**T2, "base": {"kind": "prufer_tower", "p": 2}, "y": "1/4",
       "alpha": {"1": ["0", "0/1"]}}, "recipe missing transversal rep '0'"),
+    ({**T2, "base": {"kind": "prufer_tower", "p": 2}, "y": "1/2", "m": 1,
+      "alpha": {"0": ["0", "1/3"]}}, "recipe offset 1/3 not expressible at level 1"),
+    ({**T2, "base": {"kind": "prufer_tower", "p": 2}, "y": "1/2", "m": 1,
+      "alpha": {"0": ["1/2", "0/1"]}}, "recipe target '1/2' is not a transversal rep"),
     ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0]]}, "spec.w: expected a matrix of rows"),
     ({**EXAMPLES["cocycle_extension"], "w": [[0, 0], [0, "a"]]},
      "spec.w: expected a matrix of rows"),
@@ -116,7 +120,8 @@ def _t2_alpha(alpha):
     ({"kind": "tree_vw", "depth": True}, "spec.depth: expected depth 1..4 (got True)"),
     ({**T2, "m": True}, "spec.m: expected an integer >= 1 (got True)"),
 ], ids=["alpha-not-pair", "alpha-bad-fraction", "alpha-zero-denominator",
-        "alpha-unknown-target", "alpha-prufer-without-0", "w-ragged", "w-non-integer",
+        "alpha-unknown-target", "alpha-prufer-without-0", "alpha-prufer-offset-not-expressible",
+        "alpha-prufer-target-not-a-rep", "w-ragged", "w-non-integer",
         "w-bool", "w-float",
         "n-bool", "p-bool", "depth-bool", "m-bool"])
 def test_malformed_field_exits_one(doc, message, tmp_path, capsys):

@@ -2,12 +2,16 @@
 
 No linter is installed here, so unused imports are found with ``ast``.  The
 benchmark's tracer (``perfbench/spans.py``) wraps functions and methods of
-rootsets by name, and a target it cannot find is left untraced; this test
-fails instead.
+rootsets by name, and a target it cannot find is left untraced, while one
+that is not callable would be wrapped as if it were; these tests fail
+instead.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rootsets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 def unused_imports(source):
@@ -52,3 +57,29 @@ def test_every_tracer_target_resolves():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def tracer_targets():
+    """Every "module:attribute" string of perfbench/spans.py: the ``SPANS``
+    targets and the counter targets ``Tracer.install`` names."""
+    tree = ast.parse(SPANS_PY.read_text(encoding="utf-8"))
+    return sorted({node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and re.fullmatch(r"rootsets(\.\w+)*:\w+(\.\w+)*", node.value)})
+
+
+def test_tracer_targets_include_every_span_target():
+    spec = importlib.util.spec_from_file_location("spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    span_targets = {t for targets in spans.SPANS.values() for t in targets}
+    assert span_targets < set(tracer_targets())
+
+
+@pytest.mark.parametrize("target", tracer_targets())
+def test_every_tracer_target_is_callable(target):
+    mod_name, attr = target.split(":")
+    obj = importlib.import_module(mod_name)  # the module, though rootsets.eta is also a function
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj), target

@@ -8,7 +8,6 @@ from rootsets.kernel import Homomorphism, order_profile
 from rootsets.towers import (
     CoherenceError,
     ExtensionConditionsFailed,
-    PruferElement,
     PruferTower,
     QuaternionTower,
     QuotientTower,
@@ -20,23 +19,19 @@ from rootsets.towers import (
     example_t2_tower,
     inversion_recipe,
     k_estimate,
-    prufer_name,
+    prufer_fractions,
 )
 
 
 class TestPruferElements:
     def test_normalization(self):
-        e = PruferElement.of(2, 6, 3)  # 6/8 = 3/4
-        assert (e.num, e.k) == (3, 2)
-        assert e.name == "3/4"
+        assert prufer_fractions(np.array([6]), 8) == ["3/4"]  # 6/8 = 3/4
 
     def test_zero(self):
-        assert PruferElement.of(5, 0, 3).name == "0"
+        assert prufer_fractions(np.array([0]), 5 ** 3) == ["0"]
 
     def test_prufer_name(self):
-        assert prufer_name(0, 2, 3) == "0"
-        assert prufer_name(4, 2, 3) == "1/2"
-        assert prufer_name(3, 2, 3) == "3/8"
+        assert prufer_fractions(np.array([0, 4, 3]), 8) == ["0", "1/2", "3/8"]
 
 
 class TestPruferTower:
