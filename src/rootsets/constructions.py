@@ -5,6 +5,7 @@ quaternion reduction of index-2 inverting towers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 
 import numpy as np
 
@@ -29,9 +30,7 @@ from .towers import Tower, TowerError
 
 
 class CocycleError(GroupError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class RelationFailed(GroupError):
@@ -135,7 +134,6 @@ def central_extension(c):
     fiber = Subset.of(G, range(p))
     if len(centralizer(G, fiber)) != G.order:
         raise CocycleError("extension fiber is not central")
-    G.cocycle = c
     return G
 
 
@@ -184,25 +182,11 @@ class TreeVWSpec:
                               for l in range(depth) for i in range(2 ** l)),
                              key=lambda s: (len(s), s)))
         node_bit = {nd: 1 << i for i, nd in enumerate(nodes)}
-        nV = len(paths)
-        rho = [[0] * nV for _ in range(nV)]
-        for i, f in enumerate(paths):
-            for j, g in enumerate(paths):
-                if i == j:
-                    continue
-                lcp = 0
-                while lcp < depth and f[lcp] == g[lcp]:
-                    lcp += 1
-                rho[i][j] = node_bit[f[:lcp]]
-        gamma = [[0] * nV for _ in range(nV)]
-        root = node_bit[""]
-        for i in range(nV):
-            for j in range(nV):
-                if i < j:
-                    gamma[i][j] = rho[i][j]
-                elif i == j:
-                    gamma[i][j] = root
-        return cls(depth, paths, nodes, tuple(tuple(r) for r in gamma))
+        # above the diagonal, the node of the longest common prefix; on it, the root
+        gamma = tuple(tuple(node_bit[commonprefix((f, g))] if i < j else
+                            node_bit[""] if i == j else 0
+                            for j, g in enumerate(paths)) for i, f in enumerate(paths))
+        return cls(depth, paths, nodes, gamma)
 
     @property
     def v_dim(self):

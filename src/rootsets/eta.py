@@ -16,6 +16,7 @@ import numpy as np
 from .kernel import (
     GroupError,
     Subset,
+    closure_witness,
     cyclic_subgroup,
     order_of,
     prime_factors,
@@ -115,10 +116,7 @@ class PPrimePartReport:
 def p_prime_part(G, p):
     """The set of elements of order coprime to p, with a closure verdict."""
     members = np.flatnonzero(np.gcd(G.orders, p) == 1)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[members] = True
-    bad = np.argwhere(~inside[G.mul_vec(members[:, None], members)])
-    wit = tuple(members[bad[0]].tolist()) if bad.size else None
+    wit = closure_witness(G, members)
     return PPrimePartReport(Subset(G, tuple(members.tolist())), wit is None, wit)
 
 
@@ -135,7 +133,7 @@ def check_lemma31(G):
 
     rep.add("eta-of-identity-empty", not E[0].any())
 
-    bad = np.flatnonzero((E[[G.inv(x) for x in idx]] != E).any(axis=1))
+    bad = np.flatnonzero((E[G.inv_vec(idx)] != E).any(axis=1))
     rep.add("eta-inversion-invariant", not bad.size, G.names[bad[0]] if bad.size else None)
 
     ok, wit = True, None

@@ -10,6 +10,7 @@ lookup of index strings (format below).
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import operator
@@ -25,7 +26,11 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class GroupError(Exception):
-    """Base class for structural errors in group data."""
+    """Base class for structural errors in group data, with an optional witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidElementError(GroupError):
@@ -37,15 +42,11 @@ class TableFormatError(GroupError):
 
 
 class NotASubgroupError(GroupError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NotNormalError(GroupError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NotBijectiveError(GroupError):
@@ -53,9 +54,7 @@ class NotBijectiveError(GroupError):
 
 
 class NotHomomorphicError(GroupError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NameView(Sequence):
@@ -105,29 +104,56 @@ class OracleGroup:
     Algorithms see only ``mul_vec`` and ``inv_vec`` on index arrays, element 0
     being the identity (black-box groups, Babai & Szemeredi, FOCS 1984).
     ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays of one
-    shape; without it, powers are taken by binary exponentiation.  Tables,
+    shape; without it, powers are taken by binary exponentiation.  So too
+    ``order_vec`` for element orders, else found by ``element_orders``, and
+    ``ids_of`` for reading names as ids, else from a name dict.  Tables,
     tower levels, subgroups, quotients and the deeper tree groups are all of
     this kind; ``group()`` materializes one as a validated Cayley table.
     """
 
     identity = 0
 
-    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None):
+    def __init__(self, n, names, mul_vec, inv_vec, label="", pow_vec=None, *,
+                 order_vec=None, ids_of=None):
         self.n = self.order = n
         self.names = names
         self._mul_vec = mul_vec
         self._inv_vec = inv_vec
         self._pow_vec = pow_vec
+        self._order_vec = order_vec
+        self._ids_of = ids_of
         self.label = label
         self._group = None
+
+    @classmethod
+    def derived(cls, G, up, down, names, *, label, N=None, ids_of=None):
+        """The group whose element a stands for ``up[a]`` of G: a member of
+        a subgroup or, given N, the coset up[a] N.  Each of mul/inv/pow is
+        one gather through G that ``down`` maps back; orders come from G's,
+        a coset's by ``coset_orders``."""
+        return cls(up.size, names,
+                   lambda a, b: down[G.mul_vec(up[a], up[b])],
+                   lambda a: down[G.inv_vec(up[a])],
+                   label=label,
+                   pow_vec=lambda a, e: down[G.pow_vec(up[a], e)],
+                   order_vec=(lambda a: G.orders[up[a]]) if N is None
+                   else lambda a: coset_orders(G, up[a], N),
+                   ids_of=ids_of)
 
     @cached_property
     def index(self):
         return {nm: i for i, nm in enumerate(self.names)}
 
+    def ids_of(self, names):
+        """The ids of the strings ``names`` as an index array, -1 where a
+        string is not a name of this group."""
+        if self._ids_of is None:
+            return np.array([self.index.get(nm, -1) for nm in names], dtype=np.int64)
+        return self._ids_of(list(names))
+
     def lookup(self, name):
         """The id of the element named ``name``, or -1 if there is none."""
-        return self.index.get(name, -1)
+        return int(self.ids_of([name])[0]) if isinstance(name, str) else -1
 
     def id_of(self, name):
         i = self.lookup(name)
@@ -139,9 +165,10 @@ class OracleGroup:
         return self.lookup(name) >= 0
 
     def check_element(self, g):
-        if not 0 <= int(g) < self.n:
-            raise InvalidElementError(f"element index {g} out of range at {self.label}")
-        return int(g)
+        g = int(g)
+        if not 0 <= g < self.n:
+            raise InvalidElementError(f"element index {g} out of range for order {self.n}")
+        return g
 
     def elements(self):
         return range(self.n)
@@ -176,7 +203,9 @@ class OracleGroup:
 
     @cached_property
     def orders(self):
-        return element_orders(self)
+        if self._order_vec is None:
+            return element_orders(self)
+        return self._order_vec(np.arange(self.n, dtype=np.int64))
 
     def group(self):
         """Materialize the group as a validated Cayley table."""
@@ -261,12 +290,6 @@ class FiniteGroupTable(OracleGroup):
                         f"associativity fails at ({rows.start + a},{b},{s})")
         self.meta["associativity"] = "full"
 
-    def check_element(self, g):
-        g = int(g)
-        if not 0 <= g < self.order:
-            raise InvalidElementError(f"element index {g} out of range for order {self.order}")
-        return g
-
     def mul_vec(self, a, b):
         return self.table[a, b]
 
@@ -293,20 +316,15 @@ class Subset:
         return cls(owner, tuple(idx))
 
     def __contains__(self, g):
-        return int(g) in self._as_set()
+        g = int(g)
+        i = bisect.bisect_left(self.indices, g)
+        return i < len(self.indices) and self.indices[i] == g
 
     def __iter__(self):
         return iter(self.indices)
 
     def __len__(self):
         return len(self.indices)
-
-    def _as_set(self):
-        cached = self.__dict__.get("_set")
-        if cached is None:
-            cached = frozenset(self.indices)
-            object.__setattr__(self, "_set", cached)
-        return cached
 
     def names(self):
         return names_at(self.owner, np.array(self.indices, dtype=np.int64))
@@ -453,6 +471,15 @@ def roots(G, targets):
     return RT.T
 
 
+def coset_orders(G, g, N):
+    """ord(gN), the least e >= 1 with g^e in the subgroup N, for each g of
+    the index array ``g``: ord(g) / m, m the number of members of N in <g>
+    (``roots``), as they form the subgroup of order m of the cyclic <g>
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+    """
+    return G.orders[g] // np.count_nonzero(roots(G, _indices(G, N))[g], axis=-1)
+
+
 def order_of(G, g):
     """Least n >= 1 with g^n = identity."""
     return int(G.orders[G.check_element(g)])
@@ -594,22 +621,32 @@ def is_subgroup(G, S):
     return S.size > 0 and np.count_nonzero(_span(G, S)[0]) == np.unique(S).size
 
 
+def closure_witness(G, S):
+    """The first (a, b) of S x S, row-major, with a*b outside S, or None,
+    for an index array S; the products are taken in row blocks."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[S] = True
+    for rows in _row_blocks(S.size, S.size):
+        bad = np.argwhere(~inside[G.mul_vec(S[rows, None], S)])
+        if bad.size:
+            return int(S[rows.start + bad[0, 0]]), int(S[bad[0, 1]])
+    return None
+
+
 def check_normal(G, N):
     """Raise with a witness unless N is a normal subgroup of G.
 
-    Closure is checked row-major over N x N, then normality g-major over the
-    conjugates g^-1 n g; the first failure is the witness.
+    Closure is checked row-major over N x N (``closure_witness``), then
+    normality g-major over the conjugates g^-1 n g; the first failure is
+    the witness.
     """
     if not len(N) or 0 not in N:
         raise NotASubgroupError("subset does not contain the identity")
     N = _indices(G, N)
+    if (wit := closure_witness(G, N)) is not None:
+        raise NotASubgroupError(f"not closed: {G.names[wit[0]]}*{G.names[wit[1]]}", witness=wit)
     inside = np.zeros(G.order, dtype=bool)
     inside[N] = True
-    for rows in _row_blocks(N.size, N.size):
-        bad = np.argwhere(~inside[G.mul_vec(N[rows, None], N)])
-        if bad.size:
-            a, b = int(N[rows.start + bad[0, 0]]), int(N[bad[0, 1]])
-            raise NotASubgroupError(f"not closed: {G.names[a]}*{G.names[b]}", witness=(a, b))
     g = np.arange(G.order, dtype=np.int64)[:, None]
     for rows in _row_blocks(G.order, N.size):
         bad = np.argwhere(~inside[G.mul_vec(G.mul_vec(G.inv_vec(g[rows]), N), g[rows])])
@@ -639,16 +676,14 @@ def quotient(G, N):
     """Coset group G/N with its canonical projection.
 
     Cosets are numbered as ``cosets`` numbers them, by least element index,
-    and named by that element.  G/N is an OracleGroup on the
-    representatives, each product one gather through G.
+    and named by that element.  G/N is derived from G on the
+    representatives (``OracleGroup.derived``).
     """
     check_normal(G, N)
     reps, coset_of, _ = cosets(G, N)
-    Q = OracleGroup(reps.size, [f"[{nm}]" for nm in names_at(G, reps)],
-                    lambda a, b: coset_of[G.mul_vec(reps[a], reps[b])],
-                    lambda a: coset_of[G.inv_vec(reps[a])],
-                    label=f"{G.label}/N" if G.label else "quotient",
-                    pow_vec=lambda a, e: coset_of[G.pow_vec(reps[a], e)])
+    names = NameView(reps.size, lambda c: [f"[{nm}]" for nm in names_at(G, reps[c])])
+    Q = OracleGroup.derived(G, reps, coset_of, names, N=N,
+                            label=f"{G.label}/N" if G.label else "quotient")
     return Q, Homomorphism.validated(G, Q, coset_of)
 
 
@@ -683,14 +718,11 @@ def generated_subgroup(G, seed):
 
 def _reindexed(G, old, gens):
     """The subgroup of G on ``old`` (the identity first), generated by the
-    ids ``gens`` of G, as an OracleGroup, and ``old`` as a list."""
+    ids ``gens`` of G, derived from G, and ``old`` as a list."""
     pos = np.empty(G.order, dtype=np.int64)
     pos[old] = np.arange(old.size)
-    H = OracleGroup(old.size, NameView(old.size, lambda a: names_at(G, old[a])),
-                    lambda a, b: pos[G.mul_vec(old[a], old[b])],
-                    lambda a: pos[G.inv_vec(old[a])],
-                    label=f"{G.label}-sub" if G.label else "subgroup",
-                    pow_vec=lambda a, e: pos[G.pow_vec(old[a], e)])
+    H = OracleGroup.derived(G, old, pos, NameView(old.size, lambda a: names_at(G, old[a])),
+                            label=f"{G.label}-sub" if G.label else "subgroup")
     H.generators = pos[gens].tolist()
     return H, old.tolist()
 

@@ -13,7 +13,6 @@ provide the expected answers the reports are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +26,8 @@ from .kernel import (
     center,
     check_normal,
     closure,
+    coset_orders,
     cosets,
-    element_orders,
     hom_witness,
     is_prime,
     names_at,
@@ -149,33 +148,14 @@ class Level(OracleGroup):
 
     Its ``names`` are a ``NameView``: formatted from ids on demand, one id
     or an id array in one pass, so only the names a report prints are ever
-    formatted.  The kind's ``ids_of`` reads a list of names by arithmetic
-    and accepts an id only if it formats back to the very name, so a level
-    accepts exactly its own names, as a name dict would, without building
-    one.  ``order_vec``, when the kind gives it, is a closed form for
-    element orders on index arrays; without it ``orders`` are found by
-    ``element_orders``.
+    formatted.  Every kind gives ``ids_of``, which reads a list of names by
+    arithmetic and accepts an id only if it formats back to the very name,
+    so a level accepts exactly its own names, as a name dict would, without
+    building one; and every kind gives closed-form orders, a quotient level
+    through ``OracleGroup.derived``.  Level adds nothing to OracleGroup: it
+    is a class of its own so that tower levels' ``mul_vec`` and ``group``
+    can be told apart (the benchmark's tracer counts them).
     """
-
-    def __init__(self, n, names, mul_vec, inv_vec, *, ids_of, label="", pow_vec=None,
-                 order_vec=None):
-        super().__init__(n, names, mul_vec, inv_vec, label=label, pow_vec=pow_vec)
-        self._ids_of = ids_of
-        self._order_vec = order_vec
-
-    @cached_property
-    def orders(self):
-        if self._order_vec is None:
-            return element_orders(self)
-        return self._order_vec(np.arange(self.n, dtype=np.int64))
-
-    def lookup(self, name):
-        return int(self._ids_of([name])[0]) if isinstance(name, str) else -1
-
-    def ids_of(self, names):
-        """The ids of the strings ``names`` as an index array, -1 where a
-        string is not a name of this level."""
-        return self._ids_of(list(names))
 
 
 class Tower:
@@ -342,7 +322,8 @@ class T1Tower(Tower):
         self.n = prime_factors(a_order).get(p, 0)
         self.label = label
         # h = reps[dec_t[h]] a^(dec_j[h]): row t of the cosets is reps[t] a^j
-        self.reps, self.dec_t, rows = cosets(H, H.pow_vec(a_gen, np.arange(a_order)))
+        A = H.pow_vec(a_gen, np.arange(a_order))
+        self.reps, self.dec_t, rows = cosets(H, A)
         self.dec_j = np.empty(H.order, dtype=np.int64)
         self.dec_j[rows] = np.arange(a_order)
         self._rep_names = names_at(H, self.reps)
@@ -352,13 +333,8 @@ class T1Tower(Tower):
         self.rep_order = H.orders[self.reps]
         self.rep_pow = H.pow_vec(self.reps[:, None], np.arange(self.rep_order.max()))
         # s_t, the order of reps[t] modulo <a>, and reps[t]^(s_t) = a^(j_t)
-        self.rep_s = self.rep_order.copy()
-        self.rep_j = np.zeros(self.t_count, dtype=np.int64)
-        for t in range(self.t_count):
-            in_a = np.flatnonzero(self.dec_t[self.rep_pow[t, 1:self.rep_order[t]]] == 0)
-            if in_a.size:
-                self.rep_s[t] = in_a[0] + 1
-                self.rep_j[t] = self.dec_j[self.rep_pow[t, in_a[0] + 1]]
+        self.rep_s = coset_orders(H, self.reps, A)
+        self.rep_j = self.dec_j[H.pow_vec(self.reps, self.rep_s)]
 
     @property
     def k0(self):
@@ -701,15 +677,6 @@ class QuotientTower(Tower):
             return [f"[{min(member_names[i:i + len(N)])}]"
                     for i in range(0, len(member_names), len(N))]
 
-        def mul_vec(a, b):
-            return cmap[blvl.mul_vec(reps[a], reps[b])]
-
-        def inv_vec(a):
-            return cmap[blvl.inv_vec(reps[a])]
-
-        def pow_vec(a, e):
-            return cmap[blvl.pow_vec(reps[a], e)]
-
         def ids_of(ask):
             # "[" a name of the base level "]", through the projection; only
             # the coset's least name formats back
@@ -718,8 +685,8 @@ class QuotientTower(Tower):
             g[at] = blvl.ids_of([ask[j][1:-1] for j in at])
             return formatted_back(np.where(g >= 0, cmap[g], -1), ask, fmt)
 
-        lvl = Level(reps.size, NameView(reps.size, fmt), mul_vec, inv_vec,
-                    label=f"{self.label or 'quotient'}-level{k}", pow_vec=pow_vec, ids_of=ids_of)
+        lvl = Level.derived(blvl, reps, cmap, NameView(reps.size, fmt), N=N,
+                            label=f"{self.label or 'quotient'}-level{k}", ids_of=ids_of)
         lvl.projection = cmap  # base level id -> coset id
         lvl.reps = reps        # coset id -> its least base level id
         return lvl

@@ -132,7 +132,7 @@ def test_names_are_stable_and_parse_back(name, no_level_dicts):
             assert names_at(tower.level(k + 1), emb) == names, k
 
 
-@pytest.mark.parametrize("name", [nm for nm in TOWERS if nm != "quot"])  # quot descends
+@pytest.mark.parametrize("name", [nm for nm in TOWERS if nm != "quot"])  # test_derived_groups
 def test_closed_form_orders_match_descent(name):
     tower = load(name)
     for k in levels_up_to(tower, 2 ** 17):

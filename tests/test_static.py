@@ -83,3 +83,40 @@ def test_every_tracer_target_is_callable(target):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj), target
+
+
+def test_level_defines_no_attribute_of_its_own():
+    """``towers.Level`` is an ``OracleGroup`` under its own name, kept so the
+    tracer can wrap tower levels' ``mul_vec`` and ``group`` apart."""
+    towers = importlib.import_module("rootsets.towers")
+    assert [k for k in vars(towers.Level) if not (k.startswith("__") and k.endswith("__"))] == []
+
+
+def code_references(source, name):
+    """Where ``name`` appears in code (not in prose): "def <qualname>" for its
+    definition, else the qualified name of the enclosing def or class."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name == name:
+                found.append("def " + ".".join(scope + [name]))
+            scope = scope + [node.name]
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name
+              or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_oracle_orders_calls_element_orders():
+    """Descent runs only on groups with no closed-form orders of their own:
+    every derived group and tower level hands its orders down."""
+    refs = {p.name: code_references(p.read_text(encoding="utf-8"), "element_orders")
+            for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in refs.items() if v} == {
+        "kernel.py": ["OracleGroup.orders", "def element_orders"]}
