@@ -41,6 +41,7 @@ from .kernel import (
     closure,
     direct_product,
     dumps_table,
+    first_witness,
     is_prime,
     load_table,
     prime_factors,
@@ -339,7 +340,7 @@ def _lemma33_suite(G):
 
 def _lemma38_suite(G):
     """``lemma38_decide`` against brute force on every pair (a, h), read from
-    one roots matrix: the first failing (a, h), row-major, is the witness.
+    one roots matrix: the first failing (a, h), row-major (``first_witness``).
 
     With R[h, g] true iff g lies in <h>, h is in eta(a) iff not R[h, a],
     |<h> cap <a>| is (R R^T)[h, a], and a*h is a root of a iff R[a*h, a].
@@ -348,20 +349,22 @@ def _lemma38_suite(G):
     """
     R = roots_matrix(G)
     idx = np.arange(G.order)
-    ah = G.mul_vec(idx[:, None], idx)  # [a, h] -> a*h
     orders = G.orders
     p = np.zeros(G.order, dtype=np.int64)  # p where the order of a is a power of p, else 0
     for d in np.unique(orders).tolist():
         if len(primes := list(prime_factors(d))) == 1:
             p[orders == d] = primes[0]
     Ri = R.astype(np.int64)
-    asked = (ah == ah.T) & (p[:, None] > 0) & ~R.T
-    predicted = np.gcd(p[:, None], orders // (Ri @ Ri.T)) == 1
-    bad = np.argwhere(asked & (predicted != R[ah, idx[:, None]]))
-    if bad.size:
-        a, h = map(int, bad[0])
-        return False, (G.names[a], G.names[h])
-    return True, None
+
+    def fails(rows):
+        a = idx[rows, None]
+        ah = G.mul_vec(a, idx)
+        asked = (ah == G.mul_vec(idx, a)) & (p[a] > 0) & ~R[:, rows].T
+        predicted = np.gcd(p[a], orders // (Ri[rows] @ Ri.T)) == 1
+        return asked & (predicted != R[ah, a])
+
+    wit = first_witness(G.order, G.order, fails)
+    return wit is None, None if wit is None else (G.names[wit[0]], G.names[wit[1]])
 
 
 def _labelled(label, rep):

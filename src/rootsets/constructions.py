@@ -18,8 +18,8 @@ from .kernel import (
     centralizer,
     commutator,
     derived_subgroup,
+    first_witness,
     generated_subgroup,
-    _row_blocks,
     is_prime,
     order_profile,
     quotient,
@@ -71,16 +71,17 @@ class CocycleTable:
     """A normalized 2-cocycle w : B x B -> Z_p on a table group B.
 
     ``of`` checks the cocycle identity w(xy, z) + w(x, y) = w(x, yz) + w(y, z)
-    (mod p) for every x, y and for z over ``base.generators`` only, one n x n
-    comparison per generator.  That is exact.  The identity at (x, y, z) is
-    associativity of the extension E (``central_extension``) at ((x,0),
-    (y,0), (z,0)), and then at ((x,s), (y,t), (z,0)) for every s, t, since
-    the fiber coordinates only add.  By Light's test the s with (ab)s = a(bs)
-    for all a, b are closed under products.  The fiber generator (e, 1)
-    satisfies it whenever w is normalized, and every (b, t) is reached by
-    right products of (e, 1) and the lifts (z, 0) of B's greedy generators.
-    So E is associative, which is the identity at every (x, y, z).  A
-    failure's witness is the first (x, y), row-major, for the first failing z.
+    (mod p) for every x, y and for z over ``base.generators`` only, one
+    ``first_witness`` scan over (x, y) per generator.  That is exact.  The
+    identity at (x, y, z) is associativity of the extension E
+    (``central_extension``) at ((x,0), (y,0), (z,0)), and then at ((x,s),
+    (y,t), (z,0)) for every s, t, since the fiber coordinates only add.  By
+    Light's test the s with (ab)s = a(bs) for all a, b are closed under
+    products.  The fiber generator (e, 1) satisfies it whenever w is
+    normalized, and every (b, t) is reached by right products of (e, 1) and
+    the lifts (z, 0) of B's greedy generators.  So E is associative, which
+    is the identity at every (x, y, z).  A failure's witness is the first
+    (x, y), row-major, for the first failing z.
     """
 
     base: FiniteGroupTable
@@ -102,14 +103,12 @@ class CocycleTable:
             raise CocycleError("cocycle is not normalized", witness=base.names[bad])
         tab = base.table
         for z in base.generators:
-            left = w[tab, z] + w               # w[xy, z] + w[x, y], indexed (x, y)
-            right = w[:, tab[:, z]] + w[:, z]  # w[x, yz] + w[y, z]
-            bad = (left - right) % p != 0
-            if bad.any():
-                x, y = map(int, np.argwhere(bad)[0])
+            yz = tab[:, z]  # w[xy, z] + w[x, y] - w[x, yz] - w[y, z], indexed (x, y)
+            wit = first_witness(n, n, lambda x: (w[tab[x], z] + w[x] - w[x, yz] - w[:, z]) % p != 0)
+            if wit is not None:
                 raise CocycleError(
                     "cocycle identity fails",
-                    witness=(base.names[x], base.names[y], base.names[z]))
+                    witness=(base.names[wit[0]], base.names[wit[1]], base.names[z]))
         return cls(base, p, tuple(map(tuple, w.tolist())))
 
     def matrix(self):
@@ -347,15 +346,15 @@ def check_class2_squaring(G):
         return rep
     x = np.arange(G.order, dtype=np.int64)
     sq = G.mul_vec(x, x)
-    wit = None
-    for rows in _row_blocks(G.order, G.order):
+
+    def fails(rows):
         xy = G.mul_vec(x[rows, None], x)
         rhs = G.mul_vec(G.mul_vec(sq[rows, None], sq), commutator(G, x[rows, None], x))
-        bad = np.argwhere(G.mul_vec(xy, xy) != rhs)
-        if bad.size:
-            wit = (G.names[rows.start + bad[0, 0]], G.names[bad[0, 1]])
-            break
-    rep.add("squaring-identity", wit is None, wit)
+        return G.mul_vec(xy, xy) != rhs
+
+    wit = first_witness(G.order, G.order, fails)
+    rep.add("squaring-identity", wit is None,
+            None if wit is None else (G.names[wit[0]], G.names[wit[1]]))
     return rep
 
 

@@ -18,6 +18,7 @@ from .kernel import (
     Subset,
     closure_witness,
     cyclic_subgroup,
+    first_witness,
     order_of,
     prime_factors,
     quotient,
@@ -133,25 +134,21 @@ def check_lemma31(G):
 
     rep.add("eta-of-identity-empty", not E[0].any())
 
-    bad = np.flatnonzero((E[G.inv_vec(idx)] != E).any(axis=1))
-    rep.add("eta-inversion-invariant", not bad.size, G.names[bad[0]] if bad.size else None)
+    wit = first_witness(n, n, lambda g: E[G.inv_vec(idx[g])] != E[g])
+    rep.add("eta-inversion-invariant", wit is None, None if wit is None else G.names[wit[0]])
 
-    ok, wit = True, None
-    for x1 in range(n):
-        # x2 with eta(x1*x2) not inside eta(x1) | eta(x2)
-        bad = np.flatnonzero((E[G.mul_vec(x1, idx)] & ~(E[x1] | E)).any(axis=1))
-        if bad.size:
-            ok, wit = False, (G.names[x1], G.names[bad[0]])
-            break
-    rep.add("eta-of-product-in-union", ok, wit)
+    def outside_union(x1):  # row x1, column (x2, h): h in eta(x1*x2), not in eta(x1) | eta(x2)
+        return (E[G.mul_vec(idx[x1, None], idx)] & ~(E[x1, None] | E)).reshape(-1, n * n)
 
-    ok, wit = True, None
-    for x in range(n):
-        noncent = G.mul_vec(idx, x) != G.mul_vec(x, idx)
-        if (noncent & ~E[x]).any():
-            ok, wit = False, G.names[x]
-            break
-    rep.add("eta-contains-non-centralizer", ok, wit)
+    wit = first_witness(n, n * n, outside_union)
+    rep.add("eta-of-product-in-union", wit is None,
+            None if wit is None else (G.names[wit[0]], G.names[wit[1] // n]))
+
+    def noncentral_root(x):  # row x, column h: h does not commute with x, yet is not in eta(x)
+        return (G.mul_vec(idx, idx[x, None]) != G.mul_vec(idx[x, None], idx)) & ~E[x]
+
+    wit = first_witness(n, n, noncentral_root)
+    rep.add("eta-contains-non-centralizer", wit is None, None if wit is None else G.names[wit[0]])
     return rep
 
 
@@ -159,31 +156,24 @@ def check_lemma32(G):
     """Transitivity of the root relation."""
     rep = CheckReport(f"root-relation transitivity on {G.label or 'group'}")
     R = roots_matrix(G)
-    # R[x1,x2]: x2 in <x1>, i.e. x1 is a root of x2.  Transitivity: R o R <= R.
-    closure2 = (R.astype(np.int64) @ R.astype(np.int64)) > 0
-    ok = not (closure2 & ~R).any()
-    wit = None
-    if not ok:
-        x1, x3 = map(int, np.argwhere(closure2 & ~R)[0])
-        wit = (G.names[x1], G.names[x3])
-    rep.add("root-relation-transitive", ok, wit)
+    # R[x1,x2]: x2 in <x1>, i.e. x1 is a root of x2.  Transitivity: R o R <= R,
+    # with R o R read as the bool product R @ R, the OR of ANDs: exact
+    wit = first_witness(G.order, G.order, lambda x1: (R[x1] @ R) & ~R[x1])
+    rep.add("root-relation-transitive", wit is None,
+            None if wit is None else (G.names[wit[0]], G.names[wit[1]]))
     return rep
 
 
 def check_lemma39(G, p):
     """For every a with a p-th root x: roots y of elements of eta(a) have x outside <y>."""
     rep = CheckReport(f"p-th-root separation on {G.label or 'group'} (p={p})")
-    R = roots_matrix(G)
-    n = G.order
-    # through[g, x]: some y has g as a root and is a root of x
-    through = (R.astype(np.int64) @ R.astype(np.int64)) > 0
-    # bad[g, x]: g in eta(x^p), yet g reaches x through some y
-    bad = ~R[:, G.pow_vec(np.arange(n), p)] & through
-    wit = None
-    if bad.any():
-        x = int(np.flatnonzero(bad.any(axis=0))[0])
-        g = int(np.flatnonzero(bad[:, x])[0])
-        y = int(np.flatnonzero(R[g] & R[:, x])[0])
+    RT = roots_matrix(G).T  # RT[x, g]: g is a root of x
+    xp = G.pow_vec(np.arange(G.order), p)
+    # row x, column g: g in eta(x^p), yet g reaches x through some y, a bool RT o RT
+    wit = first_witness(G.order, G.order, lambda x: ~RT[xp[x]] & (RT[x] @ RT))
+    if wit is not None:
+        x, g = wit
+        y = int(np.flatnonzero(RT[:, g] & RT[x])[0])
         wit = (G.names[x], G.names[g], G.names[y])
     rep.add("lemma39", wit is None, wit)
     return rep

@@ -248,15 +248,13 @@ class FiniteGroupTable(OracleGroup):
         """Check the table: entries in range, identity row and column, Latin
         square, then associativity by Light's test on a generating set.
 
-        The Latin check sorts each ``_row_blocks`` block of rows, then of
-        columns, and compares it with 0 .. n - 1.  A block is sorted as a
-        C-contiguous int32 copy: the entries passed the range check, so
-        they lie in [0, n) and the narrowing is exact, and a column block
-        is read row by row from the table before it is transposed, so no
-        sort runs over strided memory.  The blocks and their order are those
-        of a sort of each ``tab[block]`` and ``tab.T[block]`` view, so the
-        first row, and then the first column, that is not a permutation is
-        the one reported.  Only one block's copies are held at a time.
+        The Latin check sorts each ``first_witness`` block of rows, then of
+        columns, and compares it with 0 .. n - 1, so the first row, and then
+        the first column, that is not a permutation is the one reported.  A
+        block is sorted as a C-contiguous int32 copy: the entries passed the
+        range check, so they lie in [0, n) and the narrowing is exact, and a
+        column block is read row by row from the table before it is
+        transposed, so no sort runs over strided memory.
         """
         n = self.order
         tab = self.table
@@ -268,26 +266,23 @@ class FiniteGroupTable(OracleGroup):
         if not np.array_equal(tab[:, 0], idx):
             raise TableFormatError("column 0 does not act as identity")
         idx32 = idx.astype(np.int32)
-        for what, rows in (("row", tab), ("column", tab.T)):
-            for block in _row_blocks(n, n):
-                part = np.ascontiguousarray(rows[block].astype(np.int32))
+        for what, lines in (("row", tab), ("column", tab.T)):
+            def unsorted(block):
+                part = np.ascontiguousarray(lines[block].astype(np.int32))
                 part.sort(axis=1)
-                bad = np.flatnonzero((part != idx32).any(axis=1))
-                del part
-                if bad.size:
-                    raise TableFormatError(f"{what} {block.start + bad[0]} is not a permutation")
+                return part != idx32
+
+            if (wit := first_witness(n, n, unsorted)) is not None:
+                raise TableFormatError(f"{what} {wit[0]} is not a permutation")
         self.generators = generating_set(self)
         # Light's test (Clifford & Preston I, 1.2): (a*b)*s = a*(b*s) for every
         # generator s; the s satisfying it are closed under products
         for s in self.generators:
-            col = tab[:, s]                          # b*s for every b
-            for rows in _row_blocks(n, n):
-                left = col[tab[rows]]                # (a*b)*s
-                right = tab[rows].take(col, axis=1)  # a*(b*s)
-                if not np.array_equal(left, right):
-                    a, b = map(int, np.argwhere(left != right)[0])
-                    raise TableFormatError(
-                        f"associativity fails at ({rows.start + a},{b},{s})")
+            col = tab[:, s]  # b*s for every b
+            wit = first_witness(n, n,  # (a*b)*s against a*(b*s)
+                                lambda rows: col.take(tab[rows]) != tab[rows].take(col, axis=1))
+            if wit is not None:
+                raise TableFormatError(f"associativity fails at ({wit[0]},{wit[1]},{s})")
         self.meta["associativity"] = "full"
 
     def mul_vec(self, a, b):
@@ -399,7 +394,7 @@ def element_orders(G):
             orders[y != 0] *= q
             y = G.pow_vec(y, q)
         if y.any():
-            raise GroupError(f"order of element {int(np.argmax(y != 0))} "
+            raise GroupError(f"order of element {int(np.flatnonzero(y)[0])} "
                              f"does not divide group order {n}")
     return orders
 
@@ -499,6 +494,21 @@ def _row_blocks(rows, cols, entries=BLOCK_ENTRIES):
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+def first_witness(rows, cols, bad):
+    """The first (i, j), row-major, where a rows x cols boolean array is
+    true, or None.  ``bad(block)`` gives the array's rows of one
+    ``_row_blocks`` slice, asked in order up to the first block with a hit;
+    ``np.argmax`` finds that hit without listing the others.  Every exact
+    check that reports a first failure reads it here."""
+    for block in _row_blocks(rows, cols):
+        hit = bad(block)
+        at = int(np.argmax(hit))
+        if hit.flat[at]:
+            i, j = divmod(at, cols)
+            return block.start + i, j
+    return None
+
+
 def _indices(G, members):
     """``members`` as an index array, in order; an out-of-range one is
     reported by ``G.check_element``."""
@@ -561,15 +571,15 @@ def hom_witness(source, target, f):
 
     Exact for maps between groups: x ranges over all of ``source`` and s over
     its generators, and the s satisfying the law are closed under products.
+    The witness is the first x of the first failing s (``first_witness``).
     """
     if f[0] != 0:
         return (0, 0)  # f(0) = f(0)*f(0) forces f(0) to be the identity
     x = np.arange(f.size, dtype=np.int64)
-    for s in source.generators:
-        bad = f[source.mul_vec(x, s)] != target.mul_vec(f, f[s])
-        if bad.any():
-            return int(np.argmax(bad)), s
-    return None
+    S = np.asarray(source.generators, dtype=np.int64)[:, None]
+    wit = first_witness(S.size, f.size,
+                        lambda rows: f[source.mul_vec(x, S[rows])] != target.mul_vec(f, f[S[rows]]))
+    return None if wit is None else (wit[1], source.generators[wit[0]])
 
 
 def centralizer(G, S):
@@ -623,14 +633,11 @@ def is_subgroup(G, S):
 
 def closure_witness(G, S):
     """The first (a, b) of S x S, row-major, with a*b outside S, or None,
-    for an index array S; the products are taken in row blocks."""
+    for an index array S (``first_witness``)."""
     inside = np.zeros(G.order, dtype=bool)
     inside[S] = True
-    for rows in _row_blocks(S.size, S.size):
-        bad = np.argwhere(~inside[G.mul_vec(S[rows, None], S)])
-        if bad.size:
-            return int(S[rows.start + bad[0, 0]]), int(S[bad[0, 1]])
-    return None
+    wit = first_witness(S.size, S.size, lambda rows: ~inside[G.mul_vec(S[rows, None], S)])
+    return None if wit is None else (int(S[wit[0]]), int(S[wit[1]]))
 
 
 def check_normal(G, N):
@@ -648,13 +655,12 @@ def check_normal(G, N):
     inside = np.zeros(G.order, dtype=bool)
     inside[N] = True
     g = np.arange(G.order, dtype=np.int64)[:, None]
-    for rows in _row_blocks(G.order, N.size):
-        bad = np.argwhere(~inside[G.mul_vec(G.mul_vec(G.inv_vec(g[rows]), N), g[rows])])
-        if bad.size:
-            h, n = rows.start + int(bad[0, 0]), int(N[bad[0, 1]])
-            raise NotNormalError(
-                f"not normal: conjugate of {G.names[n]} by {G.names[h]} escapes",
-                witness=(h, n))
+    wit = first_witness(G.order, N.size,
+                        lambda rows: ~inside[G.mul_vec(G.mul_vec(G.inv_vec(g[rows]), N), g[rows])])
+    if wit is not None:
+        h, n = wit[0], int(N[wit[1]])
+        raise NotNormalError(f"not normal: conjugate of {G.names[n]} by {G.names[h]} escapes",
+                             witness=(h, n))
 
 
 def cosets(G, N):

@@ -866,8 +866,6 @@ def _eta_engine(tower, names, max_level, window, member_cap):
                     certs[j] = ((k_star, window), eta)
     reports = {}
     for j, nm in enumerate(names):
-        if not per_level[j]:
-            raise InvalidElementError(f"element {nm!r} not born by level {max_level}")
         if j in certs:
             reports[nm] = EtaReport(nm, tower.kind, per_level[j], True, *certs[j])
         else:
@@ -880,9 +878,11 @@ def eta_stabilized(tower, name, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WIND
     """Level-wise eta for one element, with a stabilization certificate.
 
     A report that is not stabilized never claims non-membership of K, only
-    that eta kept changing within the examined levels.
+    that eta kept changing within the examined levels.  Embeddings keep
+    names, so an unknown name is one the top level cannot read.
     """
-    if tower.birth_level(name, max_level) is None:
+    levels = [tower.level(k) for k in range(tower.k0, max_level + 1)]  # build faults first
+    if not (levels and levels[-1].has(name)):
         raise InvalidElementError(f"unknown element name {name!r} up to level {max_level}")
     return _eta_engine(tower, [name], max_level, window, member_cap)[name]
 

@@ -6,6 +6,7 @@ These tests compare both with brute force, plant single defects at sizes
 where a sampled check would miss them, and bound the memory the checks use.
 """
 
+import importlib
 import re
 import tracemalloc
 from pathlib import Path
@@ -13,19 +14,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rootsets import cli
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, parse_spec
+from rootsets.constructions import CocycleError, CocycleTable
+from rootsets.eta import check_lemma32, check_lemma39, roots_matrix
 from rootsets.kernel import (
     FiniteGroupTable,
     _row_blocks,
     Homomorphism,
     NotHomomorphicError,
+    NotNormalError,
+    OracleGroup,
     TableFormatError,
+    check_normal,
     closure,
+    closure_witness,
     direct_product,
     generating_set,
     hom_witness,
     loads_table,
+    prime_factors,
 )
 from rootsets.towers import (
     ExtensionConditionsFailed,
@@ -314,6 +323,193 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+eta_module = importlib.import_module("rootsets.eta")  # ``rootsets.eta`` is also a function
+
+
+def reference_light(T):
+    """Light's test as the per-generator loop over ``_row_blocks`` with
+    ``np.argwhere``, kept as the reference: its message, or None."""
+    n = len(T)
+    for s in generating_set(OracleGroup(n, None, lambda a, b: T[a, b], None)):
+        col = T[:, s]
+        for rows in _row_blocks(n, n):
+            left = col[T[rows]]
+            right = T[rows].take(col, axis=1)
+            if not np.array_equal(left, right):
+                a, b = map(int, np.argwhere(left != right)[0])
+                return f"associativity fails at ({rows.start + a},{b},{s})"
+    return None
+
+
+def forged_cyclic(n, a0, b0):
+    """Z_n with one forged product: a0 * b0 = 1."""
+    return OracleGroup(n, [str(i) for i in range(n)],
+                       lambda a, b: np.where((a == a0) & (b == b0), 1, (a + b) % n),
+                       lambda a: (-a) % n)
+
+
+def reference_closure_witness(G, S):
+    inside = np.zeros(G.order, dtype=bool)
+    inside[S] = True
+    for rows in _row_blocks(S.size, S.size):
+        bad = np.argwhere(~inside[G.mul_vec(S[rows, None], S)])
+        if bad.size:
+            return int(S[rows.start + bad[0, 0]]), int(S[bad[0, 1]])
+    return None
+
+
+def reference_normal_witness(G, N):
+    inside = np.zeros(G.order, dtype=bool)
+    inside[N] = True
+    g = np.arange(G.order, dtype=np.int64)[:, None]
+    for rows in _row_blocks(G.order, N.size):
+        bad = np.argwhere(~inside[G.mul_vec(G.mul_vec(G.inv_vec(g[rows]), N), g[rows])])
+        if bad.size:
+            return rows.start + int(bad[0, 0]), int(N[bad[0, 1]])
+    return None
+
+
+def reference_cocycle_witness(base, p, w):
+    """The cocycle identity as one n x n comparison per generator."""
+    tab = base.table
+    for z in base.generators:
+        bad = (w[tab, z] + w - w[:, tab[:, z]] - w[:, z]) % p != 0
+        if bad.any():
+            x, y = map(int, np.argwhere(bad)[0])
+            return base.names[x], base.names[y], base.names[z]
+    return None
+
+
+def reference_lemma32(G, R):
+    Ri = R.astype(np.int64)
+    bad = ((Ri @ Ri) > 0) & ~R
+    if bad.any():
+        x1, x3 = map(int, np.argwhere(bad)[0])
+        return [("root-relation-transitive", False, (G.names[x1], G.names[x3]))]
+    return [("root-relation-transitive", True, None)]
+
+
+def reference_lemma39(G, p, R):
+    through = (R.astype(np.int64) @ R.astype(np.int64)) > 0
+    bad = ~R[:, G.pow_vec(np.arange(G.order), p)] & through
+    wit = None
+    if bad.any():
+        x = int(np.flatnonzero(bad.any(axis=0))[0])
+        g = int(np.flatnonzero(bad[:, x])[0])
+        y = int(np.flatnonzero(R[g] & R[:, x])[0])
+        wit = (G.names[x], G.names[g], G.names[y])
+    return [("lemma39", wit is None, wit)]
+
+
+def reference_lemma38(G, R):
+    idx = np.arange(G.order)
+    ah = G.mul_vec(idx[:, None], idx)
+    orders = G.orders
+    p = np.zeros(G.order, dtype=np.int64)
+    for d in np.unique(orders).tolist():
+        if len(primes := list(prime_factors(d))) == 1:
+            p[orders == d] = primes[0]
+    Ri = R.astype(np.int64)
+    asked = (ah == ah.T) & (p[:, None] > 0) & ~R.T
+    predicted = np.gcd(p[:, None], orders // (Ri @ Ri.T)) == 1
+    bad = np.argwhere(asked & (predicted != R[ah, idx[:, None]]))
+    if bad.size:
+        a, h = map(int, bad[0])
+        return False, (G.names[a], G.names[h])
+    return True, None
+
+
+def swapped(G, i, j):
+    """G with the ids i and j exchanged."""
+    perm = np.arange(G.order)
+    perm[[i, j]] = [j, i]
+    names = list(G.names)
+    names[i], names[j] = names[j], names[i]
+    return FiniteGroupTable(perm[G.table][np.ix_(perm, perm)], names, label=G.label)
+
+
+def summary(rep):
+    return [(a.name, a.status == "pass", a.witness) for a in rep.assertions]
+
+
+class TestBlockEdges:
+    """Every first-failure scan is one blocked ``first_witness``.  A single
+    defect whose first witness is on the last row of block 1, or the first
+    row of block 2, must give the witness of a copy of the scan each check
+    replaced."""
+
+    @pytest.mark.parametrize("row", [63, 64])
+    def test_light_on_an_order_1024_table(self, row):
+        n = 1024
+        assert _row_blocks(n, n)[1].start == 64
+        i = np.arange(n)
+        T = (i[:, None] + i) % n
+        # rows row, row + 512 and columns b, b + 512 form an intercalate: swap its two symbols
+        r2, b, b2 = row + 512, 700, 188
+        T[row, b], T[row, b2] = T[row, b2], T[row, b]
+        T[r2, b], T[r2, b2] = T[r2, b2], T[r2, b]
+        message = reference_light(T)
+        assert message is not None and message.startswith(f"associativity fails at ({row},")
+        assert table_outcome(T) == message
+
+    @pytest.mark.parametrize("g0", [1023, 1024])
+    def test_check_normal(self, g0):
+        N = np.arange(0, 3072, 48, dtype=np.int64)  # 64 members: blocks of 1024 rows
+        n0 = int(N[5])
+        # g0^-1 n0 g0 = 1, outside N; g0 is outside N, so no other product is forged
+        G = forged_cyclic(3072, (n0 - g0) % 3072, g0)
+        assert _row_blocks(G.order, N.size)[1].start == 1024
+        assert reference_normal_witness(G, N) == (g0, n0)
+        with pytest.raises(NotNormalError) as exc:
+            check_normal(G, N)
+        assert exc.value.witness == (g0, n0)
+
+    @pytest.mark.parametrize("row", [31, 32])
+    def test_closure_witness(self, row):
+        S = np.arange(0, 4096, 2, dtype=np.int64)  # 2048 members: blocks of 32 rows
+        G = forged_cyclic(4096, int(S[row]), int(S[5]))
+        assert _row_blocks(S.size, S.size)[1].start == 32
+        assert closure_witness(G, S) == reference_closure_witness(G, S) == (int(S[row]), 10)
+
+    @pytest.mark.parametrize("x0", [127, 128])
+    def test_cocycle_identity_on_an_order_512_base(self, x0):
+        base = cyclic(512)
+        assert _row_blocks(512, 512)[1].start == 128
+        w = np.zeros((512, 512), dtype=np.int64)
+        w[x0, 300] = 1
+        expected = reference_cocycle_witness(base, 2, w)
+        assert expected is not None and expected[0] == base.names[x0]
+        with pytest.raises(CocycleError, match="cocycle identity fails") as exc:
+            CocycleTable.of(base, 2, w)
+        assert exc.value.witness == expected
+
+    @pytest.fixture(scope="class")
+    def q512_at_edges(self):
+        """Q512 with an element of order 4 moved to row 127, and to row 128."""
+        G = generalized_quaternion(512)
+        return {row: swapped(G, row, G.id_of("xc5")) for row in (127, 128)}
+
+    @pytest.mark.parametrize("suite", ["3.2", "3.8", "3.9"])
+    @pytest.mark.parametrize("row", [127, 128])
+    def test_lemma_suites_on_q512(self, row, suite, q512_at_edges, monkeypatch):
+        G = q512_at_edges[row]
+        assert G.orders[row] == 4 and _row_blocks(512, 512)[1].start == 128
+        R = roots_matrix(G).copy()
+        # 3.2 and 3.8: row is no longer in <row>; 3.9: row^2 is no longer in <row>
+        R[row, int(G.pow_vec(row, 2)) if suite == "3.9" else row] = False
+        monkeypatch.setattr(eta_module, "roots_matrix", lambda _: R)
+        monkeypatch.setattr(cli, "roots_matrix", lambda _: R)
+        if suite == "3.8":
+            got, expected = cli._lemma38_suite(G), reference_lemma38(G, R)
+            witness = expected[1]
+        else:
+            got, expected = ((summary(check_lemma32(G)), reference_lemma32(G, R)) if suite == "3.2"
+                             else (summary(check_lemma39(G, 2)), reference_lemma39(G, 2, R)))
+            witness = expected[0][2]
+        assert witness is not None and witness[0] == G.names[row]
+        assert got == expected
+
+
 class TestMemory:
     def test_order_2048_validation_memory(self):
         G = quaternion_table(2048)
@@ -325,3 +521,10 @@ class TestMemory:
         tower = build_tower(parse_spec((SPECS / "heis_t1.json").read_text(encoding="utf-8")))
         peak = _peak_bytes(lambda: tower.embed_ids(5))
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("suite,bound_mb", [("3.2", 1), ("3.9", 1), ("3.8", 5)])
+    def test_lemma_suite_memory_on_q512(self, suite, bound_mb):
+        G = generalized_quaternion(512)
+        run = {"3.2": lambda: check_lemma32(G), "3.9": lambda: check_lemma39(G, 2),
+               "3.8": lambda: cli._lemma38_suite(G)}[suite]
+        assert _peak_bytes(run) < bound_mb * 2 ** 20

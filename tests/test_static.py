@@ -120,3 +120,16 @@ def test_only_oracle_orders_calls_element_orders():
             for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in refs.items() if v} == {
         "kernel.py": ["OracleGroup.orders", "def element_orders"]}
+
+
+def test_only_first_witness_takes_a_first_hit():
+    """Every exact check that reports a first failure scans through
+    ``kernel.first_witness``: the first-hit calls are named in code in
+    ``src/rootsets/`` only there, so no check forks a scan of its own."""
+    refs = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        found = code_references(source, "argmax") + code_references(source, "argwhere")
+        if found:
+            refs[p.name] = found
+    assert refs == {"kernel.py": ["first_witness"]}
