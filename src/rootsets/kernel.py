@@ -571,15 +571,20 @@ def hom_witness(source, target, f):
 
     Exact for maps between groups: x ranges over all of ``source`` and s over
     its generators, and the s satisfying the law are closed under products.
-    The witness is the first x of the first failing s (``first_witness``).
+    The witness is the first x of the first failing s: ``first_witness``
+    scans the pairs s-major as |S| n rows of one column, so a block holds
+    about BLOCK_ENTRIES pairs however large the source.
     """
     if f[0] != 0:
         return (0, 0)  # f(0) = f(0)*f(0) forces f(0) to be the identity
-    x = np.arange(f.size, dtype=np.int64)
-    S = np.asarray(source.generators, dtype=np.int64)[:, None]
-    wit = first_witness(S.size, f.size,
-                        lambda rows: f[source.mul_vec(x, S[rows])] != target.mul_vec(f, f[S[rows]]))
-    return None if wit is None else (wit[1], source.generators[wit[0]])
+    S = np.asarray(source.generators, dtype=np.int64)
+
+    def bad(rows):
+        s, x = np.divmod(np.arange(rows.start, rows.stop, dtype=np.int64), f.size)
+        return f[source.mul_vec(x, S[s])] != target.mul_vec(f[x], f[S[s]])
+
+    wit = first_witness(S.size * f.size, 1, bad)
+    return None if wit is None else (int(wit[0] % f.size), source.generators[wit[0] // f.size])
 
 
 def centralizer(G, S):

@@ -23,6 +23,7 @@ from .kernel import (
     NameView,
     NotNormalError,
     OracleGroup,
+    _row_blocks,
     center,
     check_normal,
     closure,
@@ -218,6 +219,8 @@ class Tower:
         k + 1, and dropping the members of emb S_k that lie in <g> does not
         change the span.  Generators a level already holds are kept; k0 and
         a level above any other index take the greedy ``generating_set``.
+        Before ``hom_witness`` reads S_k, ``embed_ids(k - 1)`` validates the
+        chain below (k > k0), so S_k is inherited in any build order.
         """
         if k not in self._embeds:
             src, tgt = self.level(k), self.level(k + 1)
@@ -228,19 +231,18 @@ class Tower:
             hit[emb] = True
             if np.count_nonzero(hit) != src.n:
                 raise TowerError(f"embedding at level {k} is not injective")
+            if k > self.k0:
+                self.embed_ids(k - 1)
             if hom_witness(src, tgt, emb) is not None:
                 raise TowerError(f"embedding at level {k} is not a homomorphism")
             self._embeds[k] = emb
-            if not self._holds_generators(k + 1) and is_prime(tgt.n // src.n):
+            if "generators" not in vars(tgt) and is_prime(tgt.n // src.n):
                 g = int(np.argmin(hit))
                 in_g = np.zeros(tgt.n, dtype=bool)
-                in_g[tgt.pow_vec(g, np.arange(tgt.n))] = True  # ord g divides n
+                for e in _row_blocks(tgt.n, 1):  # ord g divides n
+                    in_g[tgt.pow_vec(g, np.arange(e.start, e.stop))] = True
                 tgt.generators = [g] + [s for s in emb[src.generators].tolist() if not in_g[s]]
         return self._embeds[k]
-
-    def _holds_generators(self, k):
-        """Whether level k is built and its generators are already known."""
-        return k in self._levels and "generators" in vars(self._levels[k])
 
     def birth_level(self, name, max_level):
         for k in range(self.k0, max_level + 1):
@@ -454,9 +456,8 @@ class T2Tower(Tower):
 
     def _build_level(self, k):
         blvl = self.base.level(k)
-        if self.base._holds_generators(k - 1):
-            # base level k inherits the generators _check_conditions reads
-            self.base.embed_ids(k - 1)
+        if k > self.base.k0:
+            self.base.embed_ids(k - 1)  # base level k inherits the generators
         nb = blvl.n
         alpha = self._alpha_map(k)
         y_id = blvl.id_of(self.y_name)
@@ -535,19 +536,28 @@ class T2Tower(Tower):
         return e * self.base.level(k + 1).n + self.base.embed_vec(k, g)
 
     def _check_conditions(self, blvl, alpha, y_id, a_id, k):
+        """The extension conditions on base level k, exact, by generators.
+
+        A map of n ids onto all n is a bijection; once ``hom_witness`` passes
+        it is an automorphism.  Each later law then compares two
+        homomorphisms, which agree everywhere iff they agree on generators:
+        alpha and inversion on C, the first ``c_part_count`` ids with id m =
+        c^m, so on id 1; alpha^2 and conjugation by y on ``blvl.generators``.
+        """
         nb = blvl.n
-        if alpha[0] != 0 or len(np.unique(alpha)) != nb:
+        hit = np.zeros(nb, dtype=bool)
+        if alpha.shape == (nb,) and alpha[0] == 0 and alpha.min() >= 0 and alpha.max() < nb:
+            hit[alpha] = True
+        if not hit.all():
             raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k)
         if hom_witness(blvl, blvl, alpha) is not None:
             raise ExtensionConditionsFailed("alpha is not a homomorphism", k)
-        c_ids = np.arange(self.base.c_part_count(k), dtype=np.int64)
-        if not np.array_equal(alpha[c_ids], blvl.inv_vec(c_ids)):
+        if alpha[1] != blvl.inv(1):
             raise ExtensionConditionsFailed("alpha does not invert the C part", k)
         if alpha[y_id] != y_id:
             raise ExtensionConditionsFailed("alpha does not fix y", k)
-        g = np.arange(nb, dtype=np.int64)
-        conj = blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), g), y_id)
-        if not np.array_equal(alpha[alpha], conj):
+        S = np.asarray(blvl.generators, dtype=np.int64)
+        if not np.array_equal(alpha[alpha[S]], blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), S), y_id)):
             raise ExtensionConditionsFailed("alpha squared is not conjugation by y", k)
         # y^m must be the distinguished involution, making x^{2m} = a
         if int(blvl.pow_vec(y_id, self.m)) != a_id:

@@ -1,7 +1,8 @@
 """Exactness of the checks by generators: tables, maps and their memory use.
 
 Associativity is checked as (a*b)*s = a*(b*s) for the generators s of a
-table, and maps as f(x*s) = f(x)*f(s) for the generators s of the source.
+table, maps as f(x*s) = f(x)*f(s) for the generators s of the source, and
+a T2 level's alpha laws on generators of its base level.
 These tests compare both with brute force, plant single defects at sizes
 where a sampled check would miss them, and bound the memory the checks use.
 """
@@ -40,8 +41,11 @@ from rootsets.towers import (
     ExtensionConditionsFailed,
     PruferTower,
     QuaternionTower,
+    T1Tower,
+    T2Tower,
     TowerError,
     example_t2_tower,
+    inversion_recipe,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -314,6 +318,119 @@ class TestForgedMaps:
             assert_real_hom_failure(G, G, m, exc.value.witness)
 
 
+def all_elements_conditions(tower, blvl, alpha, y_id, a_id, k):
+    """The extension conditions with the C and alpha^2 laws over every
+    element, kept as the reference: the failed condition, or None."""
+    nb = blvl.n
+    if alpha[0] != 0 or len(np.unique(alpha)) != nb:
+        return "alpha is not a bijection fixing identity"
+    if hom_witness(blvl, blvl, alpha) is not None:
+        return "alpha is not a homomorphism"
+    c_ids = np.arange(tower.base.c_part_count(k), dtype=np.int64)
+    if not np.array_equal(alpha[c_ids], blvl.inv_vec(c_ids)):
+        return "alpha does not invert the C part"
+    if alpha[y_id] != y_id:
+        return "alpha does not fix y"
+    g = np.arange(nb, dtype=np.int64)
+    conj = blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), g), y_id)
+    if not np.array_equal(alpha[alpha], conj):
+        return "alpha squared is not conjugation by y"
+    if int(blvl.pow_vec(y_id, tower.m)) != a_id:
+        return f"y^{tower.m} is not the involution a"
+    return None
+
+
+def dihedral_t2_tower():
+    """An inverting extension of D8 x C whose y = s0 is not central: the
+    inversion recipe fixes y, but alpha^2 = 1 is not conjugation by y."""
+    base = T1Tower(dihedral(4), 2, 0)
+    return T2Tower(base, "s0.0", 1, inversion_recipe(base))
+
+
+def planted_alphas(tower, k, rng):
+    """Candidate automorphisms of base level k: the recipe's alpha, it
+    composed with conjugation by every base element, the recipes with other
+    offsets and targets, power maps of C, and single swapped images."""
+    blvl = tower.base.level(k)
+    ids = np.arange(blvl.n, dtype=np.int64)
+    alpha = tower._alpha_map(k)
+    yield alpha
+    for b in ids.tolist():
+        yield alpha[blvl.mul_vec(blvl.mul_vec(blvl.inv(b), ids), b)]
+    recipe, reps = tower.recipe, tower.base.transversal_names()
+    for t_img in ([0] * len(reps), list(range(len(reps))), list(range(len(reps)))[::-1]):
+        for off in ((0, 1), (1, 2), (1, 4), (3, 4), (1, 8)):
+            for at, nm in enumerate(reps):
+                tower.recipe = {**recipe, nm: (reps[t_img[at]], off)}
+                try:
+                    yield tower._alpha_map(k)
+                except TowerError:  # an offset level k cannot express
+                    pass
+    tower.recipe = recipe
+    ck = tower.base.c_part_count(k)
+    t, m = np.divmod(ids, ck)
+    for u in (1, 3, ck // 2 - 1, ck // 2 + 1, ck - 1):
+        yield t * ck + (u * m) % ck
+    for u, v in [(0, 1), (1, blvl.n - 1)] + rng.integers(1, blvl.n, size=(12, 2)).tolist():
+        forged = alpha.copy()
+        forged[[u, v]] = forged[[v, u]]
+        yield forged
+
+
+class TestExtensionConditions:
+    """``T2Tower._check_conditions`` checks the C and alpha^2 laws on
+    generators; its verdict and message must equal the all-elements form."""
+
+    LAWS = {"alpha is not a bijection fixing identity", "alpha is not a homomorphism",
+            "alpha does not invert the C part", "alpha does not fix y"}
+
+    @pytest.mark.parametrize("make,levels,outcomes", [
+        (lambda: build_tower(parse_spec((SPECS / "t2.json").read_text(encoding="utf-8"))),
+         range(2, 9), LAWS | {"y^3 is not the involution a", None}),
+        (example_t2_tower, range(2, 9), LAWS | {"y^3 is not the involution a", None}),
+        (dihedral_t2_tower, range(2, 5), LAWS | {"alpha squared is not conjugation by y"}),
+    ], ids=["t2", "example-t2", "dihedral-t2"])
+    def test_by_generators_equals_all_elements(self, make, levels, outcomes):
+        tower, rng = make(), np.random.default_rng(17)
+        seen = set()
+        for k in levels:
+            if k > tower.base.k0:
+                tower.base.embed_ids(k - 1)  # base level k inherits, as when a level is built
+            blvl = tower.base.level(k)
+            y_id, a_id = blvl.id_of(tower.y_name), blvl.id_of(tower.a_name)
+            for m in (tower.m, tower.m + 1):
+                tower.m = m
+                for alpha in planted_alphas(tower, k, rng):
+                    expected = all_elements_conditions(tower, blvl, alpha, y_id, a_id, k)
+                    try:
+                        tower._check_conditions(blvl, alpha, y_id, a_id, k)
+                        got = None
+                    except ExtensionConditionsFailed as exc:
+                        got = exc.condition
+                        assert exc.level == k
+                    assert got == expected, (k, alpha)
+                    seen.add(expected)
+            tower.m -= 1
+        assert seen == outcomes
+
+    @pytest.mark.parametrize("image", [-1, 64, 1000, "63 as -1", "one more"])
+    def test_an_image_out_of_range_is_not_a_bijection(self, image):
+        tower = example_t2_tower()
+        alpha = tower._alpha_map(5)
+        assert alpha.size == 64
+        if image == "63 as -1":  # -1 would index 63, so every id is still hit
+            alpha[alpha == 63] = -1
+        elif image == "one more":  # 65 images: every id is hit, one twice
+            alpha = np.append(alpha, 5)
+        else:
+            alpha[7] = image
+        tower._alpha_map = lambda level: alpha
+        with pytest.raises(ExtensionConditionsFailed,
+                           match="^extension condition failed at level 5: "
+                                 "alpha is not a bijection fixing identity$"):
+            tower.level(5)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -419,6 +536,19 @@ def reference_lemma38(G, R):
     return True, None
 
 
+def reference_hom_witness(source, target, f):
+    """The homomorphism scan with one row of every x per generator, kept as
+    the reference."""
+    if f[0] != 0:
+        return (0, 0)
+    x = np.arange(f.size, dtype=np.int64)
+    for s in source.generators:
+        bad = f[source.mul_vec(x, s)] != target.mul_vec(f, f[s])
+        if bad.any():
+            return int(np.flatnonzero(bad)[0]), s
+    return None
+
+
 def swapped(G, i, j):
     """G with the ids i and j exchanged."""
     perm = np.arange(G.order)
@@ -483,6 +613,32 @@ class TestBlockEdges:
             CocycleTable.of(base, 2, w)
         assert exc.value.witness == expected
 
+    @pytest.mark.parametrize("y", [65536, 65537])
+    def test_hom_witness_on_one_generator(self, y):
+        """Z_(2^17) has the one generator 1, and a forged image y fails first
+        at x = y - 1: the last pair of block 1, or the first of block 2."""
+        G = PruferTower(2).level(17)
+        assert G.generators == [1] and _row_blocks(G.n, 1)[1].start == 65536
+        f = np.arange(G.n, dtype=np.int64)
+        f[y] = y + 1
+        assert hom_witness(G, G, f) == reference_hom_witness(G, G, f) == (y - 1, 1)
+
+    @pytest.mark.parametrize("forge,witness", [("last-pairs-of-c", (65534, 1)),
+                                               ("first-pairs-of-x", (1, 32768))])
+    def test_hom_witness_between_generators(self, forge, witness):
+        """Q65536 has the generators c = 1 and x = 32768, one block each.  A
+        forged image of x c^-1 fails first two pairs before the boundary; the
+        map x^e c^m -> c^m keeps every law for c, and fails first for x at
+        c, the first pair after it that can fail."""
+        G = QuaternionTower().level(15)
+        assert G.generators == [1, 32768] and _row_blocks(2 * G.n, 1)[1].start == G.n
+        f = np.arange(G.n, dtype=np.int64)
+        if forge == "last-pairs-of-c":
+            f[-1] = 0
+        else:
+            f %= 32768
+        assert hom_witness(G, G, f) == reference_hom_witness(G, G, f) == witness
+
     @pytest.fixture(scope="class")
     def q512_at_edges(self):
         """Q512 with an element of order 4 moved to row 127, and to row 128."""
@@ -521,6 +677,16 @@ class TestMemory:
         tower = build_tower(parse_spec((SPECS / "heis_t1.json").read_text(encoding="utf-8")))
         peak = _peak_bytes(lambda: tower.embed_ids(5))
         assert peak < 16 * 2 ** 20
+
+    def test_heisenberg_amalgam_embedding_memory_at_level_10(self):
+        """n = 531,441 into 1,594,323: unblocked, the powers of g took
+        embed_ids to 92 MB and the scan's rows took hom_witness to 33 MB."""
+        tower = build_tower(parse_spec((SPECS / "heis_t1.json").read_text(encoding="utf-8")))
+        tower.embed_ids(9)  # level 10 inherits its generators
+        src, tgt = tower.level(10), tower.level(11)
+        emb = tower.embed_vec(10, np.arange(src.n, dtype=np.int64))
+        assert _peak_bytes(lambda: hom_witness(src, tgt, emb)) < 10 * 2 ** 20
+        assert _peak_bytes(lambda: tower.embed_ids(10)) < 20 * 2 ** 20
 
     @pytest.mark.parametrize("suite,bound_mb", [("3.2", 1), ("3.9", 1), ("3.8", 5)])
     def test_lemma_suite_memory_on_q512(self, suite, bound_mb):

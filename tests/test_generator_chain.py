@@ -5,19 +5,24 @@ least element outside the image, and the images of level k's generators
 outside <g>, whenever the index is prime.  These tests check that the sets
 span each level, that a non-homomorphic embedding is still refused when the
 check reads inherited generators, and that other indices, and generators a
-level already holds, keep the greedy ``generating_set``.  The last two
-sections check the quaternion reduction's C ids and its one-span sections,
+level already holds, keep the greedy ``generating_set``.  Since each
+embedding validates the chain below it first, a guard runs the tower
+commands on the bundled specs and allows a greedy search only at a chain's
+k0, whatever order the command builds levels in.  The last two sections
+check the quaternion reduction's C ids and its one-span sections,
 and ``root_images``'s blocked power images against the unblocked form.
 """
 
 import importlib
+import random
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rootsets.cli import build_tower, parse_spec
+from rootsets import cli
+from rootsets.cli import build_tower, parse_spec, run_command
 from rootsets.constructions import quaternion_reduce
 from rootsets.kernel import (
     _span,
@@ -39,7 +44,8 @@ from rootsets.towers import (
 )
 
 kernel = importlib.import_module("rootsets.kernel")
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 NAMES = ["heis_t1", "prufer2", "quat", "quot", "t2"]
 MAX_ORDER = 2 ** 15
 
@@ -176,8 +182,9 @@ def test_a_t2_k_estimate_takes_its_base_generators_from_the_chain(greedy_calls):
     tower = load("t2")
     k_estimate(tower, max_level=8)
     k0 = tower.k0
-    # k_estimate builds the birth level, 4, first: its base level is greedy too
-    assert greedy_calls == [tower.base.level(4), tower.base.level(k0), tower.level(k0)]
+    # k_estimate builds the birth level, 4, first; its base level still
+    # inherits, since building it validates the base chain from base level 1
+    assert greedy_calls == [tower.base.level(1), tower.level(k0)]
     for k in range(k0, 9):
         blvl = tower.base.level(k)
         assert "generators" in vars(blvl)
@@ -185,11 +192,46 @@ def test_a_t2_k_estimate_takes_its_base_generators_from_the_chain(greedy_calls):
 
 
 def test_a_t2_reduction_builds_the_next_base_level_from_the_chain(greedy_calls):
-    """reduce-t2 builds levels L and L + 1 only: one greedy search a tower at L."""
+    """reduce-t2 builds T2 levels L and L + 1 only; the base chain is
+    validated from its k0, so base level L is not greedy either."""
     tower = load("t2")
     assert quaternion_reduce(tower, 7, verify_next_level=True).level_independent
-    assert tower.base.level(7) in greedy_calls
+    assert tower.base.level(7) not in greedy_calls
     assert tower.base.level(8) not in greedy_calls
+
+
+def tower_commands():
+    """(command, spec path, flags): k-estimate on every spec at the default
+    flags, the benchmark's k-estimate and eta jobs, and reduce-t2 at 3-9."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    yield from (("k-estimate", path, {}) for path in sorted(SPECS.glob("*.json")))
+    for job in bench.tower_eta(None, SPECS, random.Random(0), full=True):
+        yield job["command"], Path(job["spec"]), dict(job["flags"])
+    yield from (("reduce-t2", SPECS / "t2.json", {"level": level}) for level in range(3, 10))
+
+
+def test_greedy_searches_run_only_at_each_chain_k0(greedy_calls, monkeypatch):
+    towers = []
+
+    def building(spec, base_dir="."):
+        towers.append(build_tower(spec, base_dir))
+        return towers[-1]
+
+    monkeypatch.setattr(cli, "build_tower", building)
+    for command, path, flags in tower_commands():
+        towers.clear()
+        greedy_calls.clear()
+        spec = parse_spec(path.read_text(encoding="utf-8"), path.parent)
+        report, code = run_command(command, spec, flags, base_dir=path.parent)
+        assert code == 0, (command, path.name, flags, report)
+        # every tower of a spec, a base tower included, is built by build_tower
+        starts = [t.level(t.k0) for t in towers]
+        assert all(any(G is s for s in starts) for G in greedy_calls), (command, path.name, flags)
+        if command == "k-estimate" and path.name == "t2.json":
+            top = towers[-1]
+            assert greedy_calls == [top.base.level(1), top.level(2)], flags
 
 
 # ---------------------------------------------------------------------------
