@@ -63,7 +63,7 @@ class ExtensionConditionsFailed(GroupError):
 
 
 # ---------------------------------------------------------------------------
-# Prufer names
+# names on the coordinates r p^k + m
 
 def prufer_fractions(m, n):
     """The names of the ids ``m`` (an index array) of Z_n, the elements m/n
@@ -99,17 +99,35 @@ def formatted_back(ids, names, fmt):
     return ids
 
 
+def coordinate_names(prefixes, ck):
+    """``format`` and ``ids_of`` for a level on the ids r ck + m, named
+    ``prefixes[r]`` followed by the fraction m/ck of Z_(p^infinity).
+
+    A prefix is "" or ends in ".", and a fraction holds no ".", so a name
+    splits after its last ".".  Where two prefixes coincide, the later id
+    is read, as a name dict would.
+    """
+    pos = {pf: r for r, pf in enumerate(prefixes)}
+
+    def fmt(ids):
+        r, m = np.divmod(ids, ck)
+        return [prefixes[i] + c for i, c in zip(r.tolist(), prufer_fractions(m, ck))]
+
+    def read(name):
+        cut = name.rfind(".") + 1
+        r, m = pos.get(name[:cut]), fraction_id(name[cut:], ck)
+        return -1 if r is None or m < 0 else r * ck + m
+
+    def ids_of(names):
+        return formatted_back(np.array([read(nm) for nm in names], dtype=np.int64), names, fmt)
+
+    return fmt, ids_of
+
+
 def prufer_level(p, k):
     """Z_(p^k) on the ids m = 0 .. p^k - 1, the element m/p^k mod 1."""
     n = p ** k
-
-    def fmt(m):
-        return prufer_fractions(m, n)
-
-    def ids_of(names):
-        return formatted_back(np.array([fraction_id(nm, n) for nm in names], dtype=np.int64),
-                              names, fmt)
-
+    fmt, ids_of = coordinate_names(PruferTower.prefixes, n)
     return Level(n, NameView(n, fmt),
                  lambda a, b: (a + b) % n,
                  lambda a: (-a) % n,
@@ -117,28 +135,6 @@ def prufer_level(p, k):
                  pow_vec=lambda a, e: a * (e % n) % n,
                  ids_of=ids_of,
                  order_vec=lambda a: n // np.gcd(a, n))
-
-
-def _x_coset_names(blvl):
-    """``format`` and ``ids_of`` for a level that is two cosets of ``blvl``:
-    the id e nb + g is named as g, with the prefix "x." when e = 1."""
-    nb = blvl.n
-
-    def fmt(ids):
-        e, g = np.divmod(ids, nb)
-        return [f"x.{nm}" if x else nm for x, nm in zip(e.tolist(), names_at(blvl, g))]
-
-    def ids_of(names):
-        # "x." and a name of blvl; else, as a name dict would, a name of blvl
-        x = np.array([nm.startswith("x.") for nm in names], dtype=bool)
-        g = blvl.ids_of([nm[2:] if nx else nm for nm, nx in zip(names, x.tolist())])
-        ids = np.where(g >= 0, x * nb + g, -1)
-        retry = np.flatnonzero(x & (g < 0))
-        if retry.size:
-            ids[retry] = blvl.ids_of([names[j] for j in retry.tolist()])
-        return ids
-
-    return fmt, ids_of
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +156,17 @@ class Level(OracleGroup):
 
 
 class Tower:
-    """Base class: level caching, validated embeddings, birth levels.
+    """Base class: level caching, validated embeddings, birth levels, and
+    the coordinates of the levels.
 
-    A kind gives ``_build_level(k)`` and ``embed_vec(k, ids)``, the closed
-    form of its embedding of level k into level k + 1 on index arrays.
+    Every tower is built on C = Z_(p^infinity), whose level-k part C_k is
+    Z_(p^k), so a level is a union of cosets r C_k.  Its element r c^m has
+    the id r c_k + m, c_k = ``c_part_count(k)`` = p^k, and the name
+    ``prefixes[r]`` followed by the fraction m/p^k (``coordinate_names``);
+    the first c_k ids are C_k.  The embedding into level k + 1 keeps r and
+    writes m/p^k as (p m)/p^(k+1), so it is the id times p.  A kind gives
+    ``_build_level(k)``, ``p`` and ``prefixes``; the quotient, which is not
+    on these coordinates, gives its own ``embed_vec``.
     """
 
     kind = "tower"
@@ -181,7 +184,11 @@ class Tower:
         raise NotImplementedError
 
     def embed_vec(self, k, ids):
-        raise NotImplementedError
+        """The embedding of level k into level k + 1, on an index array."""
+        return ids * self.p
+
+    def c_part_count(self, k):
+        return self.p ** k
 
     def level(self, k):
         if k < self.k0:
@@ -194,11 +201,9 @@ class Tower:
         """Validated embedding level(k) -> level(k+1), as an index array.
 
         The map is the kind's closed form ``embed_vec``, and it keeps names:
-        name_(k+1)(emb x) = name_k(x).  A Prufer fraction m/p^k is
-        (p m)/p^(k+1).  T1 and quaternion levels keep the transversal rep or
-        the coset bit and scale the C coordinate by p the same way.  A T2
-        level keeps the coset bit and embeds the base coordinate by the
-        base tower's map.  A quotient level sends the coset g N_k to
+        name_(k+1)(emb x) = name_k(x).  In every kind but the quotient it is
+        the id times p: the prefix stays, and the fraction m/p^k is
+        (p m)/p^(k+1).  A quotient level sends the coset g N_k to
         emb(g) N_(k+1): the base map keeps names and N is one set of names
         at every level, so emb(g N_k) = emb(g) N_(k+1) has the same member
         names, and the same least name.  Exactness does not rest on this
@@ -271,6 +276,7 @@ class PruferTower(Tower):
 
     kind = "prufer"
     theory_tag = "K = whole group (abelian quasicyclic case)"
+    prefixes = [""]
 
     def __init__(self, p):
         super().__init__()
@@ -285,14 +291,8 @@ class PruferTower(Tower):
     def _build_level(self, k):
         return prufer_level(self.p, k)
 
-    def embed_vec(self, k, ids):
-        return ids * self.p
-
     def transversal_names(self):
         return ["0"]
-
-    def c_part_count(self, k):
-        return self.p ** k
 
     def theory_names(self, k):
         return set(self.level(k).names)
@@ -329,7 +329,7 @@ class T1Tower(Tower):
         self.dec_j = np.empty(H.order, dtype=np.int64)
         self.dec_j[rows] = np.arange(a_order)
         self._rep_names = names_at(H, self.reps)
-        self._rep_pos = {nm: t for t, nm in enumerate(self._rep_names)}
+        self.prefixes = [f"{nm}." for nm in self._rep_names]
         self.t_count = self.reps.size
         # rep_pow[t, j] = reps[t]^j for j below the rep's order
         self.rep_order = H.orders[self.reps]
@@ -344,27 +344,12 @@ class T1Tower(Tower):
 
     def _build_level(self, k):
         p, n = self.p, self.n
-        ck = p ** k
+        ck = self.c_part_count(k)
         u = p ** (k - n)
         Ht, Hinv = self.H.table, self.H.inv_vec
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
         rep_pow, rep_order = self.rep_pow, self.rep_order
-        rep_names, rep_pos = self._rep_names, self._rep_pos
         rep_s, rep_j = self.rep_s, self.rep_j
-
-        def fmt(a):
-            t, m = np.divmod(a, ck)
-            return [f"{rep_names[i]}.{c}" for i, c in zip(t.tolist(), prufer_fractions(m, ck))]
-
-        def read(name):
-            # a rep's name, then the C fraction, split at the last "."
-            h, _, c = name.rpartition(".")
-            t, m = rep_pos.get(h), fraction_id(c, ck)
-            return -1 if t is None or m < 0 else t * ck + m
-
-        def ids_of(names):
-            return formatted_back(np.array([read(nm) for nm in names], dtype=np.int64),
-                                  names, fmt)
 
         def mul_vec(a, b):
             t1, m1 = np.divmod(a, ck)
@@ -391,25 +376,18 @@ class T1Tower(Tower):
             s = rep_s[t]
             return s * (ck // np.gcd((rep_j[t] * u + s * m) % ck, ck))
 
+        fmt, ids_of = coordinate_names(self.prefixes, ck)
         lvl = Level(self.t_count * ck, NameView(self.t_count * ck, fmt), mul_vec, inv_vec,
                     label=f"{self.label or 't1'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
                     order_vec=order_vec)
         assert lvl.n == self.H.order * ck // (p ** n)
         return lvl
 
-    def embed_vec(self, k, ids):
-        # (t, m) -> (t, p m): the id t p^k + m becomes t p^(k+1) + p m
-        return ids * self.p
-
-    def c_part_count(self, k):
-        return self.p ** k
-
     def transversal_names(self):
         return list(self._rep_names)
 
     def theory_names(self, k):
-        ck = self.p ** k
-        return set(self.level(k).names[:ck])
+        return set(self.level(k).names[:self.c_part_count(k)])
 
 
 def inversion_recipe(base):
@@ -428,6 +406,7 @@ class T2Tower(Tower):
 
     kind = "t2"
     theory_tag = "K = <a> (unique involution of the quasicyclic part)"
+    p = 2
 
     def __init__(self, base, y_name, m, recipe, *, label=""):
         super().__init__()
@@ -440,6 +419,7 @@ class T2Tower(Tower):
             raise TowerError("m must be >= 1")
         self.recipe = recipe
         self.label = label
+        self.prefixes = base.prefixes + [f"x.{pf}" for pf in base.prefixes]
         # the involution of C, the base id c_k / 2 at every level k
         self.a_name = base.level(base.k0).names[base.c_part_count(base.k0) // 2]
         self._k0 = None
@@ -497,7 +477,7 @@ class T2Tower(Tower):
             e, g = np.divmod(a, nb)
             return np.where(e == 1, 2 * blvl.orders[mul_vec(a, a)], blvl.orders[g])
 
-        fmt, ids_of = _x_coset_names(blvl)
+        fmt, ids_of = coordinate_names(self.prefixes, self.c_part_count(k))
         return Level(2 * nb, NameView(2 * nb, fmt), mul_vec, inv_vec,
                      label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
                      order_vec=order_vec)
@@ -530,11 +510,6 @@ class T2Tower(Tower):
         t, m = np.divmod(np.arange(len(rep_names) * ck, dtype=np.int64), ck)
         return t_img[t] * ck + (off[t] - m) % ck
 
-    def embed_vec(self, k, ids):
-        # (e, g) -> (e, base emb g)
-        e, g = np.divmod(ids, self.base.level(k).n)
-        return e * self.base.level(k + 1).n + self.base.embed_vec(k, g)
-
     def _check_conditions(self, blvl, alpha, y_id, a_id, k):
         """The extension conditions on base level k, exact, by generators.
 
@@ -563,9 +538,6 @@ class T2Tower(Tower):
         if int(blvl.pow_vec(y_id, self.m)) != a_id:
             raise ExtensionConditionsFailed(f"y^{self.m} is not the involution a", k)
 
-    def c_part_count(self, k):
-        return self.base.c_part_count(k)
-
     def theory_names(self, k):
         lvl = self.level(k)
         return {lvl.names[0], self.a_name}
@@ -584,6 +556,8 @@ class QuaternionTower(Tower):
 
     kind = "quaternion"
     theory_tag = "K = <a> (unique involution)"
+    p = 2
+    prefixes = ["", "x."]
     m = 1
     x_name = "x.0"
     a_name = "1/2"
@@ -593,7 +567,7 @@ class QuaternionTower(Tower):
         return 2
 
     def _build_level(self, k):
-        ck = 2 ** k
+        ck = self.c_part_count(k)
         half = ck // 2
 
         def mul_vec(a, b):
@@ -617,17 +591,10 @@ class QuaternionTower(Tower):
             # c^m has order ck / gcd(m, ck); every x c^m squares to the involution
             return np.where(a >= ck, 4, ck // np.gcd(a, ck))
 
-        fmt, ids_of = _x_coset_names(prufer_level(2, k))
+        fmt, ids_of = coordinate_names(self.prefixes, ck)
         return Level(2 * ck, NameView(2 * ck, fmt), mul_vec, inv_vec,
                      label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec, ids_of=ids_of,
                      order_vec=order_vec)
-
-    def embed_vec(self, k, ids):
-        # (e, m) -> (e, 2 m): the id e 2^k + m becomes e 2^(k+1) + 2 m
-        return ids * 2
-
-    def c_part_count(self, k):
-        return 2 ** k
 
     def theory_names(self, k):
         return {"0", "1/2"}
@@ -891,8 +858,9 @@ def eta_stabilized(tower, name, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WIND
     that eta kept changing within the examined levels.  Embeddings keep
     names, so an unknown name is one the top level cannot read.
     """
-    levels = [tower.level(k) for k in range(tower.k0, max_level + 1)]  # build faults first
-    if not (levels and levels[-1].has(name)):
+    # build faults first; below k0, Tower.level says where the tower starts
+    levels = [tower.level(k) for k in range(min(tower.k0, max_level), max_level + 1)]
+    if not levels[-1].has(name):
         raise InvalidElementError(f"unknown element name {name!r} up to level {max_level}")
     return _eta_engine(tower, [name], max_level, window, member_cap)[name]
 
@@ -947,7 +915,7 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
             members.append(nm)
             continue
         tail = [pl.size for pl in rep.per_level][-(window + 1):]
-        if all(a < b for a, b in zip(tail, tail[1:])):
+        if len(tail) == window + 1 and all(a < b for a, b in zip(tail, tail[1:])):
             growing.append(nm)
         else:
             undetermined.append(nm)

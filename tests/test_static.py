@@ -133,3 +133,23 @@ def test_only_first_witness_takes_a_first_hit():
         if found:
             refs[p.name] = found
     assert refs == {"kernel.py": ["first_witness"]}
+
+
+def test_tower_coordinates_are_stated_once():
+    """Every tower kind but the quotient is on the ids r p^k + m, named
+    "prefix + m/p^k": fractions are formatted and read in ``src/rootsets/``
+    only by ``coordinate_names``, and the embedding (the id times p) and
+    C's size p^k are defined only on ``Tower`` and, for the quotient's own
+    embedding, on ``QuotientTower``."""
+    uses, defs = [], []
+    for p in sorted(PACKAGE.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        for name in ("prufer_fractions", "fraction_id"):
+            uses += [f"{p.name}: {r}" for r in code_references(source, name)]
+        for name in ("embed_vec", "c_part_count"):
+            defs += [f"{p.name}: {r}" for r in code_references(source, name)
+                     if r.startswith("def ")]
+    assert uses == ["towers.py: def prufer_fractions", "towers.py: coordinate_names.fmt",
+                    "towers.py: def fraction_id", "towers.py: coordinate_names.read"]
+    assert defs == ["towers.py: def Tower.embed_vec", "towers.py: def QuotientTower.embed_vec",
+                    "towers.py: def Tower.c_part_count"]

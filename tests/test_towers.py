@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rootsets.catalog import dihedral, generalized_quaternion
-from rootsets.kernel import Homomorphism, order_profile
+from rootsets.kernel import FiniteGroupTable, Homomorphism, order_profile
 from rootsets.towers import (
     CoherenceError,
     ExtensionConditionsFailed,
@@ -275,3 +275,44 @@ class TestTowerBasics:
     def test_abstract_base(self):
         with pytest.raises(NotImplementedError):
             Tower().level(1)
+
+
+class TestCoordinateNames:
+    @staticmethod
+    def klein_t2():
+        """A T2 over V4 x C whose rep "x.z" makes base names and "x." names
+        coincide: at level 2, ids 9 (x.z c) and 21 (x z c) are both x.z.1/4."""
+        klein = FiniteGroupTable([[i ^ j for j in range(4)] for i in range(4)],
+                                 ["e", "z", "x.z", "w"], label="V4")
+        base = T1Tower(klein, 2, klein.id_of("e"))
+        recipe = {"e": ("e", (0, 1)), "z": ("z", (1, 2)),
+                  "x.z": ("x.z", (0, 1)), "w": ("w", (1, 2))}
+        return T2Tower(base, "z.1/4", 2, recipe)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_the_later_id_is_read_where_names_coincide(self, k):
+        lvl = self.klein_t2().level(k)
+        names = list(lvl.names)
+        index = {nm: i for i, nm in enumerate(names)}  # a name dict keeps the later id
+        assert len(index) < lvl.n
+        assert lvl.ids_of(names).tolist() == [index[nm] for nm in names]
+
+    def test_colliding_pair_at_level_2(self):
+        lvl = self.klein_t2().level(2)
+        assert lvl.names[9] == lvl.names[21] == "x.z.1/4"
+        assert lvl.id_of("x.z.1/4") == 21
+
+
+class TestReportEdges:
+    def test_growing_needs_window_plus_one_levels(self):
+        # Prufer eta sizes never change, so nothing grows; names born above
+        # max_level - window have too few sizes to say, and stay undetermined
+        rep = k_estimate(PruferTower(2), max_level=6, window=2, birth_cap=6)
+        assert rep.growing == []
+        assert len(rep.members) == 2 ** 4
+        assert len(rep.undetermined) == 2 ** 6 - 2 ** 4
+        assert "1/64" in rep.undetermined
+
+    def test_eta_below_k0_names_the_start_level(self):
+        with pytest.raises(TowerError, match="starts at level 2, got 1"):
+            eta_stabilized(QuaternionTower(), "1/2", max_level=1)
