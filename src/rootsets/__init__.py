@@ -8,7 +8,6 @@ from .kernel import (  # noqa: F401
     GroupError,
     Homomorphism,
     OracleGroup,
-    Subset,
     center,
     centralizer,
     closure,

@@ -44,6 +44,7 @@ from .kernel import (
     first_witness,
     is_prime,
     load_table,
+    names_at,
     prime_factors,
     quotient,
     validate_automorphism,
@@ -300,7 +301,7 @@ def _cmd_eta(spec, flags, base_dir, spec_paths):
         return rep.to_json(), [_status("eta-coherence", True)]
     G = build_group(spec, base_dir)
     es = eta(G, G.id_of(element))
-    result = {"element": element, "size": len(es), "members": sorted(es.members.names())}
+    result = {"element": element, "size": len(es), "members": sorted(names_at(G, es.members))}
     return result, [_status("target-not-in-eta", G.id_of(element) not in es)]
 
 
@@ -315,7 +316,7 @@ def _cmd_k_estimate(spec, flags, base_dir, spec_paths):
         return rep.to_json(), assertions
     G = build_group(spec, base_dir)
     rep = k_finite(G)
-    result = {"members": sorted(rep.members.names()), "warning": rep.warning}
+    result = {"members": sorted(names_at(G, rep.members)), "warning": rep.warning}
     return result, [_status("k-finite-degenerate-whole-group", len(rep.members) == G.order)]
 
 
@@ -331,7 +332,7 @@ def _lemma33_suite(G):
     ok = True
     for h in G.elements():
         P = G.mul_vec(G.mul_vec(G.inv(h), idx), h)  # g -> h^-1 g h
-        validate_automorphism(G, P.tolist())
+        validate_automorphism(G, P)
         fixes_cyclic = (R[:, P] == R).all(axis=1)
         fixes_eta = (R[P, :] == R).all(axis=0)
         ok = ok and not (fixes_cyclic & ~fixes_eta).any()

@@ -15,10 +15,10 @@ import numpy as np
 
 from .kernel import (
     GroupError,
-    Subset,
     closure_witness,
     cyclic_subgroup,
     first_witness,
+    names_at,
     order_of,
     prime_factors,
     quotient,
@@ -27,11 +27,11 @@ from .kernel import (
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaSet:
     group: object
     target: int
-    members: Subset
+    members: np.ndarray  # sorted ids
 
     def __contains__(self, h):
         return h in self.members
@@ -53,8 +53,7 @@ def roots_matrix(G):
 
 def eta(G, g):
     g = G.check_element(g)
-    members = np.flatnonzero(~roots(G, [g])[:, 0])
-    return EtaSet(G, g, Subset(G, tuple(members.tolist())))
+    return EtaSet(G, g, np.flatnonzero(~roots(G, [g])[:, 0]))
 
 
 DEGENERACY_WARNING = (
@@ -63,10 +62,10 @@ DEGENERACY_WARNING = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegenerateSubgroupReport:
     group: object
-    members: Subset
+    members: np.ndarray
     warning: str
 
 
@@ -75,12 +74,12 @@ def k_finite(G):
     rootless = np.flatnonzero(~roots_matrix(G).any(axis=0))
     if rootless.size:
         raise GroupError(f"eta({G.names[rootless[0]]}) is the whole group")
-    return DegenerateSubgroupReport(G, Subset.of(G, G.elements()), DEGENERACY_WARNING)
+    return DegenerateSubgroupReport(G, np.arange(G.order), DEGENERACY_WARNING)
 
 
 def d_finite(G):
     """Intersection of subgroups equipotent with G -- only G itself qualifies."""
-    return DegenerateSubgroupReport(G, Subset.of(G, G.elements()), DEGENERACY_WARNING)
+    return DegenerateSubgroupReport(G, np.arange(G.order), DEGENERACY_WARNING)
 
 
 def lemma38_decide(G, a, h):
@@ -99,17 +98,16 @@ def lemma38_decide(G, a, h):
         raise PreconditionError("a-not-prime-power",
                                 "order of a is not a prime power p^n with n >= 1")
     p = primes[0]
-    h_cyc = set(cyclic_subgroup(G, h))
+    h_cyc = cyclic_subgroup(G, h)
     if a in h_cyc:  # h is in eta(a) iff a is outside <h>
         raise PreconditionError("h-not-in-eta", "h is a root of a")
-    a_cyc = set(cyclic_subgroup(G, a))
-    ratio = len(h_cyc) // len(h_cyc & a_cyc)
+    ratio = h_cyc.size // np.intersect1d(h_cyc, cyclic_subgroup(G, a)).size
     return math.gcd(p, ratio) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PPrimePartReport:
-    members: Subset
+    members: np.ndarray
     is_subgroup: bool
     witness: object = None
 
@@ -118,7 +116,7 @@ def p_prime_part(G, p):
     """The set of elements of order coprime to p, with a closure verdict."""
     members = np.flatnonzero(np.gcd(G.orders, p) == 1)
     wit = closure_witness(G, members)
-    return PPrimePartReport(Subset(G, tuple(members.tolist())), wit is None, wit)
+    return PPrimePartReport(members, wit is None, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +178,17 @@ def check_lemma39(G, p):
 
 
 def check_eta_automorphism_invariance(G, a, alpha):
-    """Verify that an automorphism preserving <a> fixes eta(a) setwise."""
+    """Verify that an automorphism ``alpha`` (a ``Homomorphism``) preserving
+    <a> fixes eta(a) setwise."""
     rep = CheckReport(f"eta automorphism invariance on {G.label or 'group'}")
     a = G.check_element(a)
-    a_cyc = set(cyclic_subgroup(G, a))
-    if {alpha(g) for g in a_cyc} != a_cyc:
+    a_cyc = cyclic_subgroup(G, a)
+    if not np.array_equal(np.unique(alpha.map[a_cyc]), a_cyc):
         rep.add_hypothesis_failure("alpha-preserves-cyclic-subgroup-of-a",
                                    G.names[a])
         return rep
-    e = set(eta(G, a).members)
-    rep.add("eta-setwise-fixed", {alpha(g) for g in e} == e, G.names[a])
+    e = eta(G, a).members
+    rep.add("eta-setwise-fixed", np.array_equal(np.unique(alpha.map[e]), e), G.names[a])
     return rep
 
 
@@ -198,8 +197,6 @@ def check_quotient_eta(G, N, x):
     rep = CheckReport(f"quotient eta containment on {G.label or 'group'}")
     Q, proj = quotient(G, N)
     x = G.check_element(x)
-    upstairs = {proj(h) for h in eta(G, x).members}
-    downstairs = set(eta(Q, proj(x)).members)
-    rep.add("quotient-eta-contained", downstairs <= upstairs,
-            sorted(Q.names[q] for q in downstairs - upstairs) or None)
+    escaped = np.setdiff1d(eta(Q, proj(x)).members, proj.map[eta(G, x).members])
+    rep.add("quotient-eta-contained", not escaped.size, sorted(names_at(Q, escaped)) or None)
     return rep

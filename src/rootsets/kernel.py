@@ -10,7 +10,6 @@ lookup of index strings (format below).
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import operator
@@ -298,44 +297,17 @@ class FiniteGroupTable(OracleGroup):
             raise InvalidElementError(f"unknown element name {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a group's elements, kept as a sorted index tuple."""
-
-    owner: object
-    indices: tuple
-
-    @classmethod
-    def of(cls, owner, members):
-        idx = sorted({owner.check_element(g) for g in members})
-        return cls(owner, tuple(idx))
-
-    def __contains__(self, g):
-        g = int(g)
-        i = bisect.bisect_left(self.indices, g)
-        return i < len(self.indices) and self.indices[i] == g
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def names(self):
-        return names_at(self.owner, np.array(self.indices, dtype=np.int64))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homomorphism:
-    """A validated homomorphism between groups."""
+    """A validated homomorphism between groups; ``map`` is a read-only index array."""
 
     source: FiniteGroupTable
     target: FiniteGroupTable
-    map: tuple
+    map: np.ndarray
 
     @classmethod
     def validated(cls, source, target, mapping):
-        m = np.asarray(mapping, dtype=np.int64)
+        m = np.array(mapping, dtype=np.int64)  # a copy, frozen once validated
         if m.shape != (source.order,):
             raise NotHomomorphicError(
                 f"map has length {m.shape[0]}, expected {source.order}")
@@ -349,16 +321,17 @@ class Homomorphism:
             raise NotHomomorphicError(
                 f"homomorphism law fails at ({source.names[a]},{source.names[b]})",
                 witness=wit)
-        return cls(source, target, tuple(m.tolist()))
+        m.setflags(write=False)
+        return cls(source, target, m)
 
     def __call__(self, g):
-        return self.map[self.source.check_element(g)]
+        return int(self.map[self.source.check_element(g)])
 
     def is_injective(self):
-        return len(set(self.map)) == self.source.order
+        return np.unique(self.map).size == self.source.order
 
     def image(self):
-        return Subset.of(self.target, self.map)
+        return np.unique(self.map)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +444,9 @@ def coset_orders(G, g, N):
     the index array ``g``: ord(g) / m, m the number of members of N in <g>
     (``roots``), as they form the subgroup of order m of the cyclic <g>
     (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+    A member listed twice is counted once.
     """
-    return G.orders[g] // np.count_nonzero(roots(G, _indices(G, N))[g], axis=-1)
+    return G.orders[g] // np.count_nonzero(roots(G, np.unique(_indices(G, N)))[g], axis=-1)
 
 
 def order_of(G, g):
@@ -482,7 +456,7 @@ def order_of(G, g):
 
 def cyclic_subgroup(G, g):
     g = G.check_element(g)
-    return Subset(G, tuple(np.unique(G.pow_vec(g, np.arange(G.orders[g]))).tolist()))
+    return np.unique(G.pow_vec(g, np.arange(G.orders[g])))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +532,7 @@ def _span(G, seed):
 
 def closure(G, seed):
     """Least subgroup containing ``seed``."""
-    return Subset(G, tuple(np.flatnonzero(_span(G, _indices(G, seed))[0]).tolist()))
+    return np.flatnonzero(_span(G, _indices(G, seed))[0])
 
 
 def generating_set(G):
@@ -594,7 +568,7 @@ def centralizer(G, S):
     ok = np.ones(G.order, dtype=bool)
     for cols in _row_blocks(S.size, G.order):
         ok &= (G.mul_vec(x, S[cols]) == G.mul_vec(S[cols], x)).all(axis=1)
-    return Subset(G, tuple(np.flatnonzero(ok).tolist()))
+    return np.flatnonzero(ok)
 
 
 def center(G):
@@ -748,10 +722,10 @@ def direct_product(G, H):
 
 
 def validate_automorphism(G, mapping):
-    m = list(mapping)
-    if len(m) != G.order:
-        raise NotBijectiveError(f"map has length {len(m)}, expected {G.order}")
-    if len(set(m)) != G.order:
+    m = np.asarray(mapping)  # as given: ``validated`` converts and range-checks it
+    if m.size != G.order:
+        raise NotBijectiveError(f"map has length {m.size}, expected {G.order}")
+    if np.unique(m).size != G.order:
         raise NotBijectiveError("map is not a bijection")
     return Homomorphism.validated(G, G, m)
 

@@ -630,13 +630,13 @@ class QuotientTower(Tower):
     def _subgroup_at(self, k):
         blvl = self.base.level(k)
         members = closure(blvl, [blvl.id_of(nm) for nm in self.gen_names])
-        names = set(members.names())
+        names = set(names_at(blvl, members))
         if self._n_names is None:
             self._n_names = names
         elif names != self._n_names:
             raise TowerError(
                 f"quotient subgroup is not stable: differs at level {k}")
-        return members.indices
+        return members
 
     def _build_level(self, k):
         blvl = self.base.level(k)
@@ -904,6 +904,8 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     Stabilized elements form the K-estimate; when the tower kind predicts the
     answer, the estimate is compared against it and disagreement is reported
     (not raised) -- the classification theorems are the regression alarm.
+    Only determined names (stabilized or growing) are compared, and a run
+    that determined none confirms nothing, so it does not agree.
     """
     bl = min(max(birth_cap, tower.k0), max_level)
     targets = list(tower.level(bl).names)
@@ -924,7 +926,7 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     theory_list = None
     if theory is not None:
         theory_list = sorted(theory & set(targets))
-        agrees = set(members) == set(theory_list)
+        agrees = bool(members or growing) and set(members) == set(theory_list) - set(undetermined)
     return KReport(tower.kind, max_level, window, bl,
                    sorted(members), sorted(growing), sorted(undetermined),
                    theory_list, tower.theory_tag, agrees, reports)

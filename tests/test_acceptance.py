@@ -36,7 +36,6 @@ from rootsets.towers import (
     QuaternionTower,
     QuotientTower,
     T1Tower,
-    eta_stabilized,
     example_t2_tower,
     k_estimate,
 )

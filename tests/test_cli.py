@@ -1,11 +1,14 @@
 """The JSON spec / report interface, driven through main() like a user would."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from rootsets.cli import SpecError, main, parse_spec, run_command
 from rootsets.kernel import load_table
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture()
@@ -104,6 +107,16 @@ class TestExitCodes:
                             "--max-level", "4", "--window", "6"], capsys)
         assert code == 2
         assert any(a["status"] != "pass" for a in report["assertions"])
+
+    @pytest.mark.parametrize("path, birth_cap", [("prufer2.json", 5), ("prufer2.json", 6),
+                                                  ("heis_t1.json", 5), ("heis_t1.json", 6)])
+    def test_undetermined_names_are_no_disagreement(self, path, birth_cap, capsys):
+        # a birth cap above max_level - window leaves names too young to
+        # certify; K is still the predicted one
+        report, code = run(["k-estimate", str(SPECS / path), "--max-level", "6",
+                            "--birth-cap", str(birth_cap)], capsys)
+        assert code == 0 and report["result"]["agrees"] is True
+        assert report["result"]["undetermined"]
 
 
 class TestReports:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from rootsets import kernel
-from rootsets.catalog import corpus, symmetric
+from rootsets.catalog import corpus, cyclic, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, parse_spec
 from rootsets.constructions import CocycleError, CocycleTable, TreeVWSpec, quaternion_reduce
 from rootsets.eta import p_prime_part
@@ -28,7 +28,6 @@ from rootsets.kernel import (
     NotASubgroupError,
     NotHomomorphicError,
     NotNormalError,
-    Subset,
     center,
     check_normal,
     closure,
@@ -76,7 +75,7 @@ def normal_subgroups(G):
                 check_normal(G, N)
             except GroupError:
                 continue
-            out.add(N.indices)
+            out.add(tuple(N.tolist()))
     return sorted(out)
 
 
@@ -99,9 +98,26 @@ def test_coset_orders_match_brute_force_on_every_normal_subgroup():
         for N in subgroups:
             want = [least_power_in(G, g, set(N)) for g in range(G.order)]
             assert coset_orders(G, np.arange(G.order), N).tolist() == want, (gname, N)
-            Q, proj = quotient(G, Subset(G, N))
-            reps = [proj.map.index(c) for c in range(Q.order)]  # each coset's least id
+            Q, proj = quotient(G, N)
+            reps = np.unique(proj.map, return_index=True)[1]  # each coset's least id
             assert Q.orders.tolist() == [want[r] for r in reps], (gname, N)
+
+
+def test_coset_orders_count_each_member_of_n_once():
+    G = cyclic(4)
+    for N in ([0, 2], [0, 2, 2], [2, 0, 0, 2]):
+        assert coset_orders(G, np.arange(G.order), N).tolist() == [1, 2, 1, 2], N
+        assert quotient(G, N)[0].orders.tolist() == [1, 2], N
+    Q8 = generalized_quaternion(8)
+    Z = center(Q8)
+    for N in (Z, np.repeat(Z, 3), Z[::-1]):
+        assert coset_orders(Q8, np.arange(8), N).tolist() == [1, 2, 1, 2, 2, 2, 2, 2]
+        assert quotient(Q8, N)[0].orders.tolist() == [1, 2, 2, 2]
+    # check_normal reads N as given: repeats and order pick the witness
+    for N, pair in (([0, 3, 3, 1], "3*3"), ([0, 3, 1], "3*3"), ([0, 1, 3], "1*1")):
+        with pytest.raises(NotASubgroupError) as exc:
+            quotient(G, N)
+        assert str(exc.value) == f"not closed: {pair}", N
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +147,9 @@ def test_subgroups_and_quotients_of_levels_inherit_orders(name, monkeypatch):
         assert_inherited(sub, (k, "sub"))
         for N in (center(G), cyclic_subgroup(G, a), cyclic_subgroup(G, int(C[2]))):
             Q, _ = quotient(G, N)
-            assert_inherited(Q, (k, "quotient", N.indices[:4]))
+            assert_inherited(Q, (k, "quotient", N[:4]))
         pos = {g: i for i, g in enumerate(old)}
-        Q, _ = quotient(sub, Subset.of(sub, [0, pos[a]]))
+        Q, _ = quotient(sub, [0, pos[a]])
         assert_inherited(Q, (k, "quotient of sub"))
 
 
@@ -204,7 +220,7 @@ def test_one_out_of_range_message():
 def test_subset_membership_bisects_its_sorted_indices():
     G = symmetric(4)
     S = closure(G, [3])
-    members = set(S.indices)
+    members = set(S.tolist())
     for g in [*range(-1, G.order + 2), np.int64(5), np.int32(0)]:
         assert (g in S) == (int(g) in members), g
 

@@ -37,7 +37,7 @@ from rootsets.kernel import (
     quotient,
     subgroup_table,
 )
-from rootsets.report import FAIL, PASS
+from rootsets.report import FAIL
 from rootsets.towers import QuaternionTower
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -135,7 +135,7 @@ def test_quotient_and_subgroup_of_a_level_match_the_tables():
     Q, proj = quotient(lvl, N)
     Qt, projt = quotient(table, N)
     assert isinstance(Q, OracleGroup) and isinstance(Qt, OracleGroup)
-    assert Q.names == Qt.names and proj.map == projt.map
+    assert Q.names == Qt.names and np.array_equal(proj.map, projt.map)
     assert np.array_equal(Q.group().table, Qt.group().table)
     H, old = subgroup_table(lvl, closure(lvl, [lvl.id_of("x.0")]))
     assert isinstance(H, OracleGroup) and old == [0, lvl.id_of("1/2"),
@@ -263,7 +263,7 @@ def test_subgroup_table_takes_unsorted_and_duplicated_seeds():
     G = symmetric(4)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        members = np.array(closure(G, rng.integers(0, G.order, 2)).indices)
+        members = closure(G, rng.integers(0, G.order, 2))
         S = np.concatenate([rng.permutation(members), rng.choice(members, 3)])
         H, old = _span_generators_match(G, S)
         distinct = list(dict.fromkeys(S.tolist()))

@@ -12,7 +12,6 @@ from rootsets.kernel import (
     NotHomomorphicError,
     NotNormalError,
     OracleGroup,
-    Subset,
     TableFormatError,
     center,
     closure,
@@ -24,6 +23,7 @@ from rootsets.kernel import (
     exponent,
     is_subgroup,
     loads_table,
+    names_at,
     omega1,
     order_of,
     order_profile,
@@ -88,7 +88,7 @@ class TestOperations:
 
     def test_center_of_dihedral(self):
         D4 = dihedral(4)
-        assert center(D4).names() == ["r0", "r2"]
+        assert names_at(D4, center(D4)) == ["r0", "r2"]
 
     def test_center_of_odd_dihedral_trivial(self):
         assert len(center(dihedral(5))) == 1
@@ -97,11 +97,11 @@ class TestOperations:
         assert len(derived_subgroup(symmetric(3))) == 3
         assert len(derived_subgroup(symmetric(4))) == 12
         Q8 = generalized_quaternion(8)
-        assert derived_subgroup(Q8).names() == ["c0", "c2"]
+        assert names_at(Q8, derived_subgroup(Q8)) == ["c0", "c2"]
 
     def test_omega1(self):
         Q8 = generalized_quaternion(8)
-        assert omega1(Q8, 2).names() == ["c0", "c2"]
+        assert names_at(Q8, omega1(Q8, 2)) == ["c0", "c2"]
         K4 = direct_product(cyclic(2), cyclic(2))
         assert len(omega1(K4, 2)) == 4
 
@@ -132,17 +132,17 @@ class TestQuotients:
         S3 = symmetric(3)
         swap = S3.id_of("102")
         with pytest.raises(NotNormalError) as exc:
-            quotient(S3, Subset.of(S3, [0, swap]))
+            quotient(S3, [0, swap])
         assert exc.value.witness is not None
 
     def test_non_subgroup_rejected(self):
         Z4 = cyclic(4)
         with pytest.raises(NotASubgroupError):
-            quotient(Z4, Subset.of(Z4, [0, 1]))
+            quotient(Z4, [0, 1])
 
     def test_q8_mod_center_is_klein(self):
         Q8 = generalized_quaternion(8)
-        Q, proj = quotient(Q8, Subset.of(Q8, [0, Q8.id_of("c2")]))
+        Q, proj = quotient(Q8, [0, Q8.id_of("c2")])
         assert Q.order == 4
         assert exponent(Q) == 2
         assert Q.names[0] == "[c0]"
@@ -241,7 +241,7 @@ def test_closure_is_idempotent(data):
     G = data.draw(st.sampled_from(_GROUPS))
     seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
     H = closure(G, seed)
-    assert closure(G, H) == H
+    assert np.array_equal(closure(G, H), H)
 
 
 @settings(deadline=None, max_examples=60)

@@ -21,6 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rootsets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the package's modules, then the scripts and tests; no two share a file name
+SOURCES = MODULES + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
@@ -42,7 +44,7 @@ def test_unused_imports_are_found():
         "os", "c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -313,6 +313,23 @@ class TestReportEdges:
         assert len(rep.undetermined) == 2 ** 6 - 2 ** 4
         assert "1/64" in rep.undetermined
 
+    def test_only_determined_names_are_compared_with_the_theory(self):
+        # names born above max_level - window are undetermined and count
+        # neither way; the certified ones agree with K = C
+        D4 = dihedral(4)
+        tower = T1Tower(D4, 2, D4.id_of("r2"))
+        rep = k_estimate(tower, max_level=6, window=2, birth_cap=6)
+        assert (len(rep.members), len(rep.growing), len(rep.undetermined)) == (16, 48, 192)
+        assert rep.agrees is True and len(rep.theory) == 2 ** 6
+        # a theory wrong on one determined name still disagrees
+        for wrong in (rep.growing[0], rep.members[1]):
+            tower.theory_names = lambda k, wrong=wrong: set(rep.theory) ^ {wrong}
+            assert k_estimate(tower, max_level=6, window=2, birth_cap=6).agrees is False
+
+    def test_a_run_that_determines_no_name_does_not_agree(self):
+        rep = k_estimate(QuaternionTower(), max_level=4, window=6)
+        assert rep.members == rep.growing == [] and rep.agrees is False
+
     def test_eta_below_k0_names_the_start_level(self):
         with pytest.raises(TowerError, match="starts at level 2, got 1"):
             eta_stabilized(QuaternionTower(), "1/2", max_level=1)
