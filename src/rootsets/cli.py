@@ -49,7 +49,7 @@ from .kernel import (
     quotient,
     validate_automorphism,
 )
-from .report import FAIL, PASS, Assertion
+from .report import PASS, Assertion
 from .towers import (
     DEFAULT_BIRTH_CAP,
     DEFAULT_MAX_LEVEL,
@@ -283,7 +283,7 @@ def build_tower(spec, base_dir="."):
 
 def _status(name, ok, witness=None):
     """An assertion entry; the witness is reported only on failure."""
-    return Assertion(name, PASS if ok else FAIL, None if ok else witness).to_json()
+    return Assertion.of(name, ok, witness).to_json()
 
 
 def _given(flags, *names):
@@ -369,7 +369,8 @@ def _lemma38_suite(G):
 
 
 def _labelled(label, rep):
-    return [{"name": f"{label}:{a.name}", "status": a.status} for a in rep.assertions]
+    return [Assertion(f"{label}:{a.name}", a.status, a.witness).to_json()
+            for a in rep.assertions]
 
 
 # suite name -> (group, label) -> assertion entries

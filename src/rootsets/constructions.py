@@ -4,7 +4,7 @@ quaternion reduction of index-2 inverting towers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from os.path import commonprefix
 
 import numpy as np
@@ -24,7 +24,7 @@ from .kernel import (
     quotient,
 )
 from .eta import eta
-from .report import CheckReport
+from .report import CheckReport, Report
 from .towers import Tower, TowerError
 
 
@@ -368,24 +368,19 @@ def is_generalized_quaternion(G):
 
 
 @dataclass
-class ReductionStep:
+class ReductionStep(Report):
     m: int
     a2: str
     z: str
     parity: str             # "odd" or "even"
     quotient_subgroup: list = None  # the four coset representatives, even steps only
 
-    def to_json(self):
-        doc = {"m": self.m, "a2": self.a2, "z": self.z, "parity": self.parity}
-        if self.quotient_subgroup is not None:
-            doc["quotient_subgroup"] = self.quotient_subgroup
-        return doc
-
 
 @dataclass
-class ReductionTrace:
+class ReductionTrace(Report):
     steps: list
-    section: OracleGroup
+    section: OracleGroup = field(metadata={"json": False})
+    section_order: int
     section_profile: dict
     recognizer_passed: bool
     eta_trivial: bool
@@ -394,17 +389,6 @@ class ReductionTrace:
     @property
     def ok(self):
         return self.recognizer_passed and self.eta_trivial
-
-    def to_json(self):
-        return {
-            "steps": [s.to_json() for s in self.steps],
-            "section_order": self.section.order,
-            "section_profile": {str(k): v for k, v in sorted(self.section_profile.items())},
-            "recognizer_passed": self.recognizer_passed,
-            "eta_trivial": self.eta_trivial,
-            **({} if self.level_independent is None
-               else {"level_independent": self.level_independent}),
-        }
 
 
 def quaternion_reduce(tower, level, *, verify_next_level=False):
@@ -473,7 +457,7 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
     a_final = np.flatnonzero(section.orders == 2)
     # eta(a) holds no element but the identity
     eta_trivial = a_final.size == 1 and not eta(section, a_final[0]).members.any()
-    trace = ReductionTrace(steps, section, profile, recognized, eta_trivial)
+    trace = ReductionTrace(steps, section, section.order, profile, recognized, eta_trivial)
     if verify_next_level:
         other = quaternion_reduce(tower, level + 1)
         trace.level_independent = (

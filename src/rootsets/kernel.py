@@ -307,10 +307,13 @@ class Homomorphism:
 
     @classmethod
     def validated(cls, source, target, mapping):
-        m = np.array(mapping, dtype=np.int64)  # a copy, frozen once validated
+        m = np.asarray(mapping)
         if m.shape != (source.order,):
             raise NotHomomorphicError(
                 f"map has length {m.shape[0]}, expected {source.order}")
+        if m.dtype.kind not in "iu":  # a float or a numeric string is not read as an id
+            raise InvalidElementError("map entries are not integers")
+        m = np.array(m, dtype=np.int64)  # a copy, frozen once validated
         if m.min() < 0 or m.max() >= target.order:
             raise InvalidElementError("map image out of range")
         if m[0] != 0:

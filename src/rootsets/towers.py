@@ -36,6 +36,7 @@ from .kernel import (
     prime_factors,
     root_images,
 )
+from .report import Report
 
 DEFAULT_MAX_LEVEL = 8
 DEFAULT_WINDOW = 2
@@ -687,35 +688,26 @@ class QuotientTower(Tower):
 # eta by levels
 
 @dataclass
-class LevelEta:
+class LevelEta(Report):
     level: int
     size: int
     members: list = None  # names, kept only when small
 
 
 @dataclass
-class EtaReport:
+class Certificate(Report):  # the eta sets agreed on levels level .. level + window
+    level: int
+    window: int
+
+
+@dataclass
+class EtaReport(Report):
     element: str
     tower_kind: str
     per_level: list
     stabilized: bool
-    certificate: tuple = None  # (level k*, window w): sets agreed on k*..k*+w
+    certificate: Certificate = None
     stable_set: list = None
-
-    def to_json(self):
-        doc = {
-            "element": self.element,
-            "tower_kind": self.tower_kind,
-            "per_level": [{"level": pl.level, "size": pl.size,
-                           **({"members": pl.members} if pl.members is not None else {})}
-                          for pl in self.per_level],
-            "stabilized": self.stabilized,
-        }
-        if self.certificate is not None:
-            doc["certificate"] = {"level": self.certificate[0], "window": self.certificate[1]}
-        if self.stable_set is not None:
-            doc["stable_set"] = self.stable_set
-        return doc
 
 
 @dataclass
@@ -840,7 +832,7 @@ def _eta_engine(tower, names, max_level, window, member_cap):
                         eta = members[kg] = sorted(names_at(lvl, np.flatnonzero(kp != kg)))
                 per_level[j].append(LevelEta(k, size, eta if size <= member_cap else None))
                 if certified:
-                    certs[j] = ((k_star, window), eta)
+                    certs[j] = (Certificate(k_star, window), eta)
     reports = {}
     for j, nm in enumerate(names):
         if j in certs:
@@ -866,7 +858,7 @@ def eta_stabilized(tower, name, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WIND
 
 
 @dataclass
-class KReport:
+class KReport(Report):
     tower_kind: str
     max_level: int
     window: int
@@ -877,24 +869,7 @@ class KReport:
     theory: list = None
     theory_tag: str = None
     agrees: bool = None
-    eta_reports: dict = field(default_factory=dict)
-
-    def to_json(self):
-        doc = {
-            "tower_kind": self.tower_kind,
-            "max_level": self.max_level,
-            "window": self.window,
-            "birth_level": self.birth_level,
-            "members": self.members,
-            "growing": self.growing,
-            "undetermined": self.undetermined,
-        }
-        if self.theory is not None:
-            doc["theory"] = self.theory
-            doc["agrees"] = self.agrees
-        if self.theory_tag:
-            doc["theory_tag"] = self.theory_tag
-        return doc
+    eta_reports: dict = field(default_factory=dict, metadata={"json": False})
 
 
 def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,

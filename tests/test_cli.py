@@ -1,14 +1,17 @@
 """The JSON spec / report interface, driven through main() like a user would."""
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from rootsets.cli import SpecError, main, parse_spec, run_command
+from rootsets.cli import SpecError, build_group, main, parse_spec, run_command
+from rootsets.eta import check_lemma31, check_lemma32, check_lemma39
 from rootsets.kernel import load_table
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 
 @pytest.fixture()
@@ -196,6 +199,46 @@ class TestLemmasCommand:
     def test_closed_form_suite(self, specs, capsys):
         _, code = run(["lemmas", str(specs / "z8.json"), "--suite", "3.8"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("suite, check", [("3.1", check_lemma31), ("3.2", check_lemma32),
+                                              ("3.9", lambda G: check_lemma39(G, 2))],
+                             ids=["3.1", "3.2", "3.9"])
+    def test_a_failing_suite_reports_its_witnesses(self, suite, check, specs, capsys,
+                                                   monkeypatch):
+        """One flipped entry of the roots matrix fails the suite, and each
+        failing assertion carries the witness its checker found."""
+        eta_module = importlib.import_module("rootsets.eta")  # rootsets.eta is also a function
+        path = specs / "q8.json"
+        G = build_group(parse_spec(path.read_text(encoding="utf-8")))
+        R = eta_module.roots_matrix(G)
+        R[2, 1] = ~R[2, 1]
+        monkeypatch.setattr(eta_module, "roots_matrix", lambda G: R.copy())
+        want = [a for a in check(G).assertions if a.status == "fail"]
+        assert want and all(a.witness is not None for a in want)
+        report, code = run(["lemmas", str(path), "--suite", suite], capsys)
+        assert code == 2
+        got = [a for a in report["assertions"] if a["status"] == "fail"]
+        assert [(a["name"].rpartition(":")[2], a.get("witness")) for a in got] == [
+            (a.name, list(a.witness)) for a in want]
+
+
+REPORT_BODIES = json.loads((ROOT / "tests" / "data" / "report_bodies.json").read_text(
+    encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command_line", sorted(REPORT_BODIES))
+def test_report_bodies_are_pinned(command_line, capsys):
+    """Bodies without ``metadata``, as printed, and exit codes, as captured
+    before every report was serialized by ``report.Report.to_json``:
+    ``k-estimate`` on every spec at the default and the perfbench flags,
+    ``eta`` on two names per tower, the five lemma suites on q8, z8 and
+    tree2, and the census.  The pinned file's keys are sorted as printed."""
+    argv = [str(ROOT / a) if a.startswith("specs/") else a for a in command_line.split(" ")]
+    report, code = run(argv, capsys)
+    report.pop("metadata")
+    want = REPORT_BODIES[command_line]
+    assert code == want["code"]
+    assert json.dumps(report, indent=2) == json.dumps(want["report"], indent=2)
 
 
 class TestEmitTable:

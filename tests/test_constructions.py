@@ -301,6 +301,13 @@ class TestQuaternionReduction:
         assert is_generalized_quaternion(trace.section)
         assert trace.section_profile[trace.section.order // 2] > 0
 
+    def test_trace_serializes_its_section_by_order_and_profile(self):
+        trace = quaternion_reduce(example_t2_tower(), 5)
+        doc = trace.to_json()
+        assert "section" not in doc and doc["section_order"] == trace.section.order
+        assert list(doc["section_profile"].items()) == [
+            (str(d), c) for d, c in order_profile(trace.section).items()]
+
     def test_level_too_small(self):
         with pytest.raises(LevelTooSmallError):
             quaternion_reduce(example_t2_tower(), 2)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from rootsets.cli import build_tower, parse_spec
 from rootsets.kernel import roots
 from rootsets.towers import (
+    Certificate,
     CoherenceError,
     EtaReport,
     LevelEta,
@@ -61,7 +62,8 @@ def reference_reports(tower, names, max_level, window, member_cap):
         rep = EtaReport(nm, tower.kind, per_level, False)
         for k_star in range(lives[0], max_level - window + 1):
             if all(sizes[k_star + i] == sizes[k_star] for i in range(window + 1)):
-                rep = EtaReport(nm, tower.kind, per_level, True, (k_star, window), eta_names(k_star))
+                rep = EtaReport(nm, tower.kind, per_level, True, Certificate(k_star, window),
+                                eta_names(k_star))
                 break
         out[nm] = rep.to_json()
     return out

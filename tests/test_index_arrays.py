@@ -79,3 +79,11 @@ def test_validate_automorphism_refusals(mapping, error, message, form):
     with pytest.raises(error) as exc:
         validate_automorphism(cyclic(4), form(mapping))
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("mapping", [[0, 1.5, 2, 3], [0, 1, "2", 3], [0, 1.2, 1.7, 3],
+                                     [0, 2 ** 70, 2, 3]])
+def test_a_map_of_non_integers_is_refused(mapping):
+    """Neither truncated, nor parsed, nor judged as another map."""
+    with pytest.raises(InvalidElementError, match="^map entries are not integers$"):
+        validate_automorphism(cyclic(4), mapping)

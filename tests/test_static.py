@@ -155,3 +155,13 @@ def test_tower_coordinates_are_stated_once():
                     "towers.py: def fraction_id", "towers.py: coordinate_names.read"]
     assert defs == ["towers.py: def Tower.embed_vec", "towers.py: def QuotientTower.embed_vec",
                     "towers.py: def Tower.c_part_count"]
+
+
+def test_reports_are_serialized_by_one_rule():
+    """Every report is written to JSON by ``report.Report.to_json``; the
+    spec echo, which flattens its params, is the one other ``to_json``."""
+    defs = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        defs += [f"{p.name}: {r}" for r in code_references(p.read_text(encoding="utf-8"), "to_json")
+                 if r.startswith("def ")]
+    assert defs == ["cli.py: def GroupSpecDocument.to_json", "report.py: def Report.to_json"]
