@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .catalog import cyclic
 from .constructions import (
@@ -30,10 +28,11 @@ from .constructions import (
 from .eta import (
     check_lemma31,
     check_lemma32,
+    check_lemma33,
+    check_lemma38,
     check_lemma39,
     eta,
     k_finite,
-    roots_matrix,
 )
 from .kernel import (
     PRIME_BOUND,
@@ -41,13 +40,11 @@ from .kernel import (
     closure,
     direct_product,
     dumps_table,
-    first_witness,
     is_prime,
     load_table,
     names_at,
     prime_factors,
     quotient,
-    validate_automorphism,
 )
 from .report import PASS, Assertion
 from .towers import (
@@ -320,69 +317,19 @@ def _cmd_k_estimate(spec, flags, base_dir, spec_paths):
     return result, [_status("k-finite-degenerate-whole-group", len(rep.members) == G.order)]
 
 
-def _lemma33_suite(G):
-    """Whether every inner automorphism fixing <a> fixes eta(a), for every a.
-
-    With R[h, g] true iff g lies in <h>, row a of R is <a> and column a the
-    roots of a, the complement of eta(a); a permutation fixes a set iff it
-    fixes its complement.
-    """
-    R = roots_matrix(G)
-    idx = np.arange(G.order)
-    ok = True
-    for h in G.elements():
-        P = G.mul_vec(G.mul_vec(G.inv(h), idx), h)  # g -> h^-1 g h
-        validate_automorphism(G, P)
-        fixes_cyclic = (R[:, P] == R).all(axis=1)
-        fixes_eta = (R[P, :] == R).all(axis=0)
-        ok = ok and not (fixes_cyclic & ~fixes_eta).any()
-    return ok
+# the benchmark's tracer (perfbench/spans.py) times suites 3.3 and 3.8 by these names
+_lemma33_suite = check_lemma33
+_lemma38_suite = check_lemma38
 
 
-def _lemma38_suite(G):
-    """``lemma38_decide`` against brute force on every pair (a, h), read from
-    one roots matrix: the first failing (a, h), row-major (``first_witness``).
-
-    With R[h, g] true iff g lies in <h>, h is in eta(a) iff not R[h, a],
-    |<h> cap <a>| is (R R^T)[h, a], and a*h is a root of a iff R[a*h, a].
-    Pairs outside the lemma's preconditions (a and h commuting, the order
-    of a a prime power p^n with n >= 1, h in eta(a)) are skipped.
-    """
-    R = roots_matrix(G)
-    idx = np.arange(G.order)
-    orders = G.orders
-    p = np.zeros(G.order, dtype=np.int64)  # p where the order of a is a power of p, else 0
-    for d in np.unique(orders).tolist():
-        if len(primes := list(prime_factors(d))) == 1:
-            p[orders == d] = primes[0]
-    Ri = R.astype(np.int64)
-
-    def fails(rows):
-        a = idx[rows, None]
-        ah = G.mul_vec(a, idx)
-        asked = (ah == G.mul_vec(idx, a)) & (p[a] > 0) & ~R[:, rows].T
-        predicted = np.gcd(p[a], orders // (Ri[rows] @ Ri.T)) == 1
-        return asked & (predicted != R[ah, a])
-
-    wit = first_witness(G.order, G.order, fails)
-    return wit is None, None if wit is None else (G.names[wit[0]], G.names[wit[1]])
-
-
-def _labelled(label, rep):
-    return [Assertion(f"{label}:{a.name}", a.status, a.witness).to_json()
-            for a in rep.assertions]
-
-
-# suite name -> (group, label) -> assertion entries
+# suite name -> group -> CheckReports by the suffix of their label.  Each check
+# is looked up by name when called, so a wrapper later bound to it (the tracer's) runs.
 SUITES = {
-    "3.1": lambda G, label: _labelled(label, check_lemma31(G)),
-    "3.2": lambda G, label: _labelled(label, check_lemma32(G)),
-    "3.3": lambda G, label: [_status(f"{label}:inner-automorphism-invariance",
-                                     _lemma33_suite(G))],
-    "3.8": lambda G, label: [_status(f"{label}:closed-form-vs-brute-force",
-                                     *_lemma38_suite(G))],
-    "3.9": lambda G, label: [a for p in prime_factors(G.order)
-                             for a in _labelled(f"{label}:p={p}", check_lemma39(G, p))],
+    "3.1": lambda G: {"": check_lemma31(G)},
+    "3.2": lambda G: {"": check_lemma32(G)},
+    "3.3": lambda G: {"": check_lemma33(G)},
+    "3.8": lambda G: {"": check_lemma38(G)},
+    "3.9": lambda G: {f":p={p}": check_lemma39(G, p) for p in prime_factors(G.order)},
 }
 
 
@@ -390,6 +337,8 @@ def _cmd_lemmas(spec, flags, base_dir, spec_paths):
     suite = flags.get("suite")
     if suite not in SUITES:
         raise SpecError([f"unknown lemma suite {suite!r}"])
+    if spec_paths == []:
+        raise SpecError([f"{base_dir}: the directory holds no *.json spec documents"])
     if spec_paths is not None:
         docs = ((parse_spec(Path(p).read_text(encoding="utf-8"), base_dir), Path(p).stem)
                 for p in spec_paths)
@@ -402,7 +351,8 @@ def _cmd_lemmas(spec, flags, base_dir, spec_paths):
         G = build_group(doc, base_dir)
         label = doc.label or G.label or stem
         result["groups"].append(label)
-        assertions += SUITES[suite](G, label)
+        assertions += [Assertion(f"{label}{suffix}:{a.name}", a.status, a.witness).to_json()
+                       for suffix, rep in SUITES[suite](G).items() for a in rep.assertions]
     return result, assertions
 
 

@@ -4,6 +4,7 @@ For a group element g, ``eta(G, g)`` is the set of h such that no integer
 power of h equals g, i.e. g is outside the cyclic subgroup generated by h.
 The exponent ranges over all integers including 0, so the identity lies in
 eta(g) exactly when g is not the identity, and eta(identity) is empty.
+The ``lemmas`` command's five suites are the ``check_lemma3N``, each a ``CheckReport``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .kernel import (
     prime_factors,
     quotient,
     roots,
+    validate_automorphism,
 )
 from .report import CheckReport
 
@@ -158,6 +160,61 @@ def check_lemma32(G):
     # with R o R read as the bool product R @ R, the OR of ANDs: exact
     wit = first_witness(G.order, G.order, lambda x1: (R[x1] @ R) & ~R[x1])
     rep.add("root-relation-transitive", wit is None,
+            None if wit is None else (G.names[wit[0]], G.names[wit[1]]))
+    return rep
+
+
+def check_lemma33(G):
+    """Every inner automorphism fixing <a> fixes eta(a), for every a.
+
+    With R[h, g] true iff g lies in <h>, row a of R is <a> and column a the
+    roots of a, the complement of eta(a); a permutation fixes a set iff it
+    fixes its complement.  A failure names the first (h, a), h-major
+    (``first_witness``), whose conjugation g -> h^-1 g h fixes <a> but not eta(a).
+    """
+    rep = CheckReport(f"inner-automorphism invariance on {G.label or 'group'}")
+    R = roots_matrix(G)
+    idx = np.arange(G.order)
+
+    def moves_eta(rows):  # row h, column a: conjugation by h fixes <a>, not eta(a)
+        maps = (validate_automorphism(G, G.mul_vec(G.mul_vec(G.inv(h), idx), h)).map
+                for h in idx[rows].tolist())
+        return np.array([(R[:, P] == R).all(axis=1) & ~(R[P, :] == R).all(axis=0) for P in maps])
+
+    wit = first_witness(G.order, G.order, moves_eta)
+    rep.add("inner-automorphism-invariance", wit is None,
+            None if wit is None else (G.names[wit[0]], G.names[wit[1]]))
+    return rep
+
+
+def check_lemma38(G):
+    """``lemma38_decide`` against brute force on every pair (a, h), read from
+    one roots matrix: the first failing (a, h), row-major (``first_witness``).
+
+    With R[h, g] true iff g lies in <h>, h is in eta(a) iff not R[h, a],
+    |<h> cap <a>| is (R R^T)[h, a], and a*h is a root of a iff R[a*h, a].
+    Pairs outside the lemma's preconditions (a and h commuting, the order
+    of a a prime power p^n with n >= 1, h in eta(a)) are skipped.
+    """
+    rep = CheckReport(f"lemma 3.8 closed form on {G.label or 'group'}")
+    R = roots_matrix(G)
+    idx = np.arange(G.order)
+    orders = G.orders
+    p = np.zeros(G.order, dtype=np.int64)  # p where the order of a is a power of p, else 0
+    for d in np.unique(orders).tolist():
+        if len(primes := list(prime_factors(d))) == 1:
+            p[orders == d] = primes[0]
+    Ri = R.astype(np.int64)
+
+    def fails(rows):
+        a = idx[rows, None]
+        ah = G.mul_vec(a, idx)
+        asked = (ah == G.mul_vec(idx, a)) & (p[a] > 0) & ~R[:, rows].T
+        predicted = np.gcd(p[a], orders // (Ri[rows] @ Ri.T)) == 1
+        return asked & (predicted != R[ah, a])
+
+    wit = first_witness(G.order, G.order, fails)
+    rep.add("closed-form-vs-brute-force", wit is None,
             None if wit is None else (G.names[wit[0]], G.names[wit[1]]))
     return rep
 

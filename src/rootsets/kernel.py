@@ -299,10 +299,11 @@ class FiniteGroupTable(OracleGroup):
 
 @dataclass(frozen=True, eq=False)
 class Homomorphism:
-    """A validated homomorphism between groups; ``map`` is a read-only index array."""
+    """A validated homomorphism between groups; ``map`` is a read-only index array.
+    Either side may be any group with ``mul_vec``, a table or an oracle."""
 
-    source: FiniteGroupTable
-    target: FiniteGroupTable
+    source: OracleGroup
+    target: OracleGroup
     map: np.ndarray
 
     @classmethod

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from rootsets.cli import SpecError, build_group, main, parse_spec, run_command
-from rootsets.eta import check_lemma31, check_lemma32, check_lemma39
+from rootsets.eta import (
+    check_lemma31,
+    check_lemma32,
+    check_lemma33,
+    check_lemma38,
+    check_lemma39,
+)
 from rootsets.kernel import load_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,6 +189,15 @@ class TestLemmasCommand:
         assert sorted(report["result"]["groups"]) == ["Q8", "Z8"]
         assert len(report["assertions"]) == 8  # four clauses per group
 
+    def test_a_directory_without_specs_is_an_input_error(self, tmp_path, capsys):
+        d = tmp_path / "empty"
+        d.mkdir()
+        (d / "notes.txt").write_text("not a spec", encoding="utf-8")
+        report, code = run(["lemmas", str(d), "--suite", "3.1"], capsys)
+        assert code == 1
+        assert report == {"command": "lemmas", "errors": [
+            f"{d}: the directory holds no *.json spec documents"]}
+
     def test_single_spec(self, specs, capsys):
         report, code = run(["lemmas", str(specs / "q8.json"), "--suite", "3.9"], capsys)
         assert code == 0
@@ -201,8 +216,9 @@ class TestLemmasCommand:
         assert code == 0
 
     @pytest.mark.parametrize("suite, check", [("3.1", check_lemma31), ("3.2", check_lemma32),
+                                              ("3.3", check_lemma33), ("3.8", check_lemma38),
                                               ("3.9", lambda G: check_lemma39(G, 2))],
-                             ids=["3.1", "3.2", "3.9"])
+                             ids=["3.1", "3.2", "3.3", "3.8", "3.9"])
     def test_a_failing_suite_reports_its_witnesses(self, suite, check, specs, capsys,
                                                    monkeypatch):
         """One flipped entry of the roots matrix fails the suite, and each

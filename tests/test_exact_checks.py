@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rootsets import cli
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, parse_spec
 from rootsets.constructions import CocycleError, CocycleTable
-from rootsets.eta import check_lemma32, check_lemma39, roots_matrix
+from rootsets.eta import check_lemma32, check_lemma33, check_lemma38, check_lemma39, roots_matrix
 from rootsets.kernel import (
     FiniteGroupTable,
     _row_blocks,
@@ -518,6 +517,19 @@ def reference_lemma39(G, p, R):
     return [("lemma39", wit is None, wit)]
 
 
+def reference_lemma33(G, R):
+    """The conjugation loop, one map per h, stopped at the first h whose
+    conjugation fixes some <a> but not eta(a)."""
+    idx = np.arange(G.order)
+    for h in G.elements():
+        P = G.mul_vec(G.mul_vec(G.inv(h), idx), h)
+        bad = (R[:, P] == R).all(axis=1) & ~(R[P, :] == R).all(axis=0)
+        if bad.any():
+            a = int(np.flatnonzero(bad)[0])
+            return [("inner-automorphism-invariance", False, (G.names[h], G.names[a]))]
+    return [("inner-automorphism-invariance", True, None)]
+
+
 def reference_lemma38(G, R):
     idx = np.arange(G.order)
     ah = G.mul_vec(idx[:, None], idx)
@@ -532,8 +544,8 @@ def reference_lemma38(G, R):
     bad = np.argwhere(asked & (predicted != R[ah, idx[:, None]]))
     if bad.size:
         a, h = map(int, bad[0])
-        return False, (G.names[a], G.names[h])
-    return True, None
+        return [("closed-form-vs-brute-force", False, (G.names[a], G.names[h]))]
+    return [("closed-form-vs-brute-force", True, None)]
 
 
 def reference_hom_witness(source, target, f):
@@ -645,23 +657,27 @@ class TestBlockEdges:
         G = generalized_quaternion(512)
         return {row: swapped(G, row, G.id_of("xc5")) for row in (127, 128)}
 
-    @pytest.mark.parametrize("suite", ["3.2", "3.8", "3.9"])
+    @pytest.mark.parametrize("suite", ["3.2", "3.3", "3.8", "3.9"])
     @pytest.mark.parametrize("row", [127, 128])
     def test_lemma_suites_on_q512(self, row, suite, q512_at_edges, monkeypatch):
         G = q512_at_edges[row]
         assert G.orders[row] == 4 and _row_blocks(512, 512)[1].start == 128
         R = roots_matrix(G).copy()
-        # 3.2 and 3.8: row is no longer in <row>; 3.9: row^2 is no longer in <row>
-        R[row, int(G.pow_vec(row, 2)) if suite == "3.9" else row] = False
-        monkeypatch.setattr(eta_module, "roots_matrix", lambda _: R)
-        monkeypatch.setattr(cli, "roots_matrix", lambda _: R)
-        if suite == "3.8":
-            got, expected = cli._lemma38_suite(G), reference_lemma38(G, R)
-            witness = expected[1]
+        if suite == "3.3":
+            # c becomes a power of c^2: of the h normalizing <c>, the first
+            # not commuting with c^2 is row, the first element outside <c>
+            R[G.id_of("c2"), G.id_of("c1")] = True
         else:
-            got, expected = ((summary(check_lemma32(G)), reference_lemma32(G, R)) if suite == "3.2"
-                             else (summary(check_lemma39(G, 2)), reference_lemma39(G, 2, R)))
-            witness = expected[0][2]
+            # 3.2 and 3.8: row is no longer in <row>; 3.9: row^2 is no longer in <row>
+            R[row, int(G.pow_vec(row, 2)) if suite == "3.9" else row] = False
+        monkeypatch.setattr(eta_module, "roots_matrix", lambda _: R)
+        got, expected = {
+            "3.2": lambda: (summary(check_lemma32(G)), reference_lemma32(G, R)),
+            "3.3": lambda: (summary(check_lemma33(G)), reference_lemma33(G, R)),
+            "3.8": lambda: (summary(check_lemma38(G)), reference_lemma38(G, R)),
+            "3.9": lambda: (summary(check_lemma39(G, 2)), reference_lemma39(G, 2, R)),
+        }[suite]()
+        witness = expected[0][2]
         assert witness is not None and witness[0] == G.names[row]
         assert got == expected
 
@@ -688,9 +704,9 @@ class TestMemory:
         assert _peak_bytes(lambda: hom_witness(src, tgt, emb)) < 10 * 2 ** 20
         assert _peak_bytes(lambda: tower.embed_ids(10)) < 20 * 2 ** 20
 
-    @pytest.mark.parametrize("suite,bound_mb", [("3.2", 1), ("3.9", 1), ("3.8", 5)])
+    @pytest.mark.parametrize("suite,bound_mb", [("3.2", 1), ("3.3", 1), ("3.9", 1), ("3.8", 5)])
     def test_lemma_suite_memory_on_q512(self, suite, bound_mb):
         G = generalized_quaternion(512)
-        run = {"3.2": lambda: check_lemma32(G), "3.9": lambda: check_lemma39(G, 2),
-               "3.8": lambda: cli._lemma38_suite(G)}[suite]
+        run = {"3.2": lambda: check_lemma32(G), "3.3": lambda: check_lemma33(G),
+               "3.9": lambda: check_lemma39(G, 2), "3.8": lambda: check_lemma38(G)}[suite]
         assert _peak_bytes(run) < bound_mb * 2 ** 20

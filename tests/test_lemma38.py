@@ -1,14 +1,20 @@
 """The lemma 3.8 suite reads one roots matrix per group; checked against the
-per-pair loop over lemma38_decide it replaced."""
+per-pair loop over lemma38_decide it replaced, in verdict and in witness."""
 
 import numpy as np
 import pytest
 
-from rootsets import cli
 from rootsets.catalog import corpus
-from rootsets.eta import PreconditionError, lemma38_decide, roots_matrix
+from rootsets.eta import PreconditionError, check_lemma38, lemma38_decide, roots_matrix
 from rootsets.kernel import order_of, prime_factors
-from test_lemma33 import LEMMA_GROUPS, relabeled
+from test_lemma33 import LEMMA_GROUPS, eta_module, relabeled
+
+
+def verdict(rep):
+    """The one assertion of a suite's CheckReport as (passed, witness)."""
+    [a] = rep.assertions
+    assert a.name == "closed-form-vs-brute-force"
+    return a.status == "pass", a.witness
 
 
 def reference_lemma38(G):
@@ -45,13 +51,13 @@ NAMES = sorted(corpus())
 @pytest.mark.parametrize("name", NAMES)
 def test_same_verdict_as_the_loop_on_the_corpus(name, groups):
     G = groups[name]
-    assert cli._lemma38_suite(G) == reference_lemma38(G) == (True, None)
+    assert verdict(check_lemma38(G)) == reference_lemma38(G) == (True, None)
 
 
 @pytest.mark.parametrize("name", LEMMA_GROUPS)
 def test_same_verdict_as_the_loop_on_relabeled_lemma_groups(name, groups):
     G = relabeled(groups[name], seed=len(name))
-    assert cli._lemma38_suite(G) == reference_lemma38(G) == (True, None)
+    assert verdict(check_lemma38(G)) == reference_lemma38(G) == (True, None)
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Q8", "D4", "S3", "Z12"])
@@ -65,8 +71,8 @@ def test_every_single_flip_matches_the_loop_on_the_same_matrix(name, groups, mon
             continue
         R = R0.copy()
         R[i, j] = ~R[i, j]
-        monkeypatch.setattr(cli, "roots_matrix", lambda group, R=R: R)
-        result = cli._lemma38_suite(G)
+        monkeypatch.setattr(eta_module, "roots_matrix", lambda group, R=R: R)
+        result = verdict(check_lemma38(G))
         assert result == reference_on_matrix(G, R), (i, j)
         verdicts.add(result[0])
     assert verdicts == ({False} if name == "Z4" else {True, False})

@@ -10,6 +10,7 @@ instead.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -49,16 +50,48 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_every_tracer_target_resolves():
-    """``Tracer.install`` records each span or counter target it cannot
-    resolve; run it in a child, since it rewraps the modules it loads."""
-    code = "import rootsets.cli, spans\nt = spans.Tracer()\nt.install()\nprint(t.missing)\n"
+def run_traced(code, *args):
+    """Run ``code`` in a child with rootsets and perfbench's ``spans`` on the
+    path, since ``Tracer.install`` rewraps the modules it loads; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_every_tracer_target_resolves():
+    """``Tracer.install`` records each span or counter target it cannot resolve."""
+    code = "import rootsets.cli, spans\nt = spans.Tracer()\nt.install()\nprint(t.missing)\n"
+    assert run_traced(code) == "[]\n"
+
+
+TRACED_LEMMAS = """
+import json, pathlib, sys, rootsets.cli, spans
+t = spans.Tracer()
+t.install()
+paths = sorted(pathlib.Path(sys.argv[1]).glob("*.json"))
+for suite in ("3.3", "3.8"):
+    report, code = rootsets.cli.run_command("lemmas", None, {"suite": suite},
+                                            base_dir=sys.argv[1], spec_paths=paths)
+    assert code == 0, report
+print(json.dumps([[name, parent] for name, _, _, parent, _ in t.spans]))
+"""
+
+
+def test_a_traced_lemmas_run_times_suites_3_3_and_3_8(tmp_path):
+    """The tracer times 3.3 and 3.8 by their ``cli`` names, rebinding module
+    attributes: ``cli.SUITES`` must look each check up when it runs, or no
+    span is recorded.  Each suite's roots matrix is timed inside it."""
+    for name in ("q8.json", "z8.json"):
+        (tmp_path / name).write_text((ROOT / "specs" / name).read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    spans = json.loads(run_traced(TRACED_LEMMAS, tmp_path))
+    for suite in ("eta.lemma33", "eta.lemma38"):
+        at = [i for i, (name, _) in enumerate(spans) if name == suite]
+        assert len(at) == 2, suite  # one per group
+        assert all(["eta.roots_matrix", i] in spans for i in at), suite
 
 
 def tracer_targets():
@@ -165,3 +198,23 @@ def test_reports_are_serialized_by_one_rule():
         defs += [f"{p.name}: {r}" for r in code_references(p.read_text(encoding="utf-8"), "to_json")
                  if r.startswith("def ")]
     assert defs == ["cli.py: def GroupSpecDocument.to_json", "report.py: def Report.to_json"]
+
+
+def test_lemma_suites_live_in_eta():
+    """``cli.py`` dispatches the lemma suites and computes none: it imports
+    no numpy and defines no check, and every ``check_lemma3N`` is defined in
+    ``eta.py`` and nowhere else in ``src/rootsets/``."""
+    nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))))
+    modules = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module]
+    assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
+    assert [n.name for n in nodes if isinstance(n, ast.FunctionDef)
+            and n.name.startswith(("check_", "_lemma"))] == []
+    where = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        for n in ("31", "32", "33", "38", "39"):
+            where.setdefault(n, []).extend(
+                f"{p.name}: {r}" for r in code_references(source, f"check_lemma{n}")
+                if r.startswith("def "))
+    assert where == {n: [f"eta.py: def check_lemma{n}"] for n in ("31", "32", "33", "38", "39")}
