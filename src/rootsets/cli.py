@@ -38,13 +38,14 @@ from .kernel import (
     PRIME_BOUND,
     GroupError,
     closure,
+    decode_utf8,
     direct_product,
-    dumps_table,
     is_prime,
     load_table,
     names_at,
     prime_factors,
     quotient,
+    table_blocks,
 )
 from .report import PASS, Assertion
 from .towers import (
@@ -248,6 +249,14 @@ def parse_spec(text, base_dir="."):
     return parsed
 
 
+def read_spec(path, base_dir):
+    """Parse the spec document in the file ``path``; a byte that is not
+    UTF-8 is a SpecError naming the file."""
+    text = decode_utf8(Path(path).read_bytes(),
+                       error=lambda message: SpecError([f"{path}: {message}"]))
+    return parse_spec(text, base_dir)
+
+
 def _kind(spec):
     if spec is None:
         raise SpecError(["this command needs a spec document"])
@@ -340,8 +349,7 @@ def _cmd_lemmas(spec, flags, base_dir, spec_paths):
     if spec_paths == []:
         raise SpecError([f"{base_dir}: the directory holds no *.json spec documents"])
     if spec_paths is not None:
-        docs = ((parse_spec(Path(p).read_text(encoding="utf-8"), base_dir), Path(p).stem)
-                for p in spec_paths)
+        docs = ((read_spec(p, base_dir), Path(p).stem) for p in spec_paths)
     elif spec is not None:
         docs = [(spec, spec.kind)]
     else:
@@ -385,7 +393,8 @@ def _cmd_emit_table(spec, flags, base_dir, spec_paths):
     if not out:
         raise SpecError(["emit-table requires --out"])
     G = build_group(spec, base_dir)
-    Path(out).write_text(dumps_table(G), encoding="utf-8")
+    with open(out, "w", encoding="utf-8") as f:
+        f.writelines(table_blocks(G))  # one block at a time, never the whole text
     return {"path": str(out), "order": G.order}, []
 
 
@@ -450,7 +459,7 @@ def _load_spec_arg(path):
     p = Path(path)
     if p.is_dir():
         return None, sorted(p.glob("*.json")), p
-    return parse_spec(p.read_text(encoding="utf-8"), p.parent), [p], p.parent
+    return read_spec(p, p.parent), [p], p.parent
 
 
 def main(argv=None):

@@ -3,9 +3,9 @@
 Element 0 is always the identity.  Tables are validated on construction:
 identity row/column, Latin square, uniqueness of names, and associativity.
 Associativity and homomorphism laws are checked exactly, by generators.
-Table files are read into one int64 array in blocks of rows, plain ASCII
-rows as bytes and any other row as ``int()`` reads it, and written from a
-lookup of index strings (format below).
+Table files are read in chunks straight into one int64 array, in blocks of
+rows, plain ASCII rows as bytes and any other row as ``int()`` reads it, and
+written a block at a time from a lookup of index strings (format below).
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -466,9 +469,14 @@ def cyclic_subgroup(G, g):
 # ---------------------------------------------------------------------------
 # operations, over any group with ``mul_vec`` and ``inv_vec``
 
+def _row_step(cols, entries=BLOCK_ENTRIES):
+    """The number of rows in a ``_row_blocks`` block of a ... x cols array."""
+    return max(1, entries // max(cols, 1))
+
+
 def _row_blocks(rows, cols, entries=BLOCK_ENTRIES):
     """Slices of consecutive rows of a rows x cols array, about ``entries`` each."""
-    step = max(1, entries // max(cols, 1))
+    step = _row_step(cols, entries)
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -793,8 +801,69 @@ def prime_factors(n):
 # '#' are comments.  Entries are decimal integers in 0..n-1, read as int()
 # reads them; one that does not fit in int64 is reported as out of range.
 
+# table text is parsed in chunks of about this many bytes (characters, for a str)
+CHUNK_BYTES = 1 << 18
+
+
+def decode_utf8(data, offset=0, error=TableFormatError):
+    """``data`` decoded as UTF-8.  A byte sequence that is not UTF-8 raises
+    ``error`` with a message naming its offset, ``offset`` being that of
+    ``data[0]`` in its file.  Every text the package reads is decoded here."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"invalid UTF-8 at byte {offset + exc.start}") from None
+
+
+def _file_chunks(f):
+    """The text of the binary file ``f`` in chunks: CHUNK_BYTES bytes, read
+    on to the end of their line, so each ends just after a b"\\n" (the last
+    at the end of the file), then decoded."""
+    offset = 0
+    while data := f.read(CHUNK_BYTES) + f.readline():
+        text = decode_utf8(data, offset)
+        offset += len(data)
+        del data  # only the text is held while it is parsed
+        yield text
+
+
+def _text_chunks(text):
+    """``text`` in chunks of at least CHUNK_BYTES characters, each cut just
+    after a "\\n" (the last at the end)."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + CHUNK_BYTES - 1) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _content_lines(chunks):
+    """The lines of ``chunks`` that are neither blank nor comments."""
+    for chunk in chunks:
+        for ln in chunk.splitlines():
+            if ln.strip() and not ln.lstrip().startswith("#"):
+                yield ln
+
+
 def loads_table(text, *, label=""):
     """Parse the table file format.
+
+    The text is parsed in chunks of about CHUNK_BYTES characters, each cut
+    just after a "\\n"; ``load_table`` cuts a file's bytes the same way.  A
+    "\\n" always ends a line and is never the first half of a two-character
+    break ("\\r\\n" ends with it), so the ``splitlines()`` of the chunks,
+    joined, is the ``splitlines()`` of the whole text.  In bytes, b"\\n" is
+    never part of a multi-byte UTF-8 character, so a chunk decodes alone,
+    and its first bad byte is the whole file's.  No whole text and no list
+    of all its lines is held.
+
+    Errors come in a fixed order: a byte that is not UTF-8, an empty text, a
+    bad order line, the content-line count (n + 2), an order below 1, the
+    number of names, the first bad row, then the table checks.  The text is
+    read once, so rows are read before the lines are all counted: the first
+    bad row ends the reading of rows and is raised only after the count and
+    the names have passed.  The n x n array is allocated as the rows begin,
+    and a MemoryError there waits the same way.
 
     Table rows are read in blocks of about BLOCK_ENTRIES >> 2 entries.  A
     block whose lines hold only ASCII digits, spaces and tabs, with no run of
@@ -809,31 +878,66 @@ def loads_table(text, *, label=""):
     read.  A plain block holds no non-integer token, so its first row with a
     wrong number of entries is the first error the per-token reader reports.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    return _parse_table(_text_chunks(text), len(text), label)
+
+
+def load_table(path):
+    """The table in the file ``path``, read in chunks of CHUNK_BYTES bytes
+    (see ``loads_table``); a byte that is not UTF-8 is a TableFormatError."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # a pipe has none
+        return _parse_table(_file_chunks(f), size, path.stem)
+
+
+def _parse_table(chunks, size, label):
+    """The table whose text comes in ``chunks``, each ending just after a
+    "\\n" or at the end; the text has at most ``size`` characters."""
+    lines = _content_lines(chunks)
+    head = list(islice(lines, 2))
+    if not head:
         raise TableFormatError("empty table file")
     try:
-        n = int(lines[0].strip())
+        n = int(head[0].strip())
     except ValueError:
-        raise TableFormatError(f"bad order line: {lines[0]!r}") from None
-    if len(lines) != n + 2:
-        raise TableFormatError(f"expected {n + 2} content lines, got {len(lines)}")
+        sum(1 for _ in lines)  # a byte that is not UTF-8 is reported first
+        raise TableFormatError(f"bad order line: {head[0]!r}") from None
+    count, fault = len(head), None  # fault: the first error in the rows
+    # n + 2 content lines take more than n characters, so a larger n fails the
+    # count; n rows of n entries take at least n*n, so a shorter text fails a
+    # row check and is read into one reused row, not an n x n array
+    if count == 2 and 1 <= n <= size:
+        try:
+            tab = np.empty((n if n * n <= size else 1, n), dtype=np.int64)
+        except (MemoryError, ValueError) as exc:  # ValueError: too big for numpy
+            fault = exc
+        step = _row_step(n, BLOCK_ENTRIES >> 2)
+        for start in range(0, n, step) if fault is None else ():
+            rows = slice(start, min(start + step, n))
+            block = list(islice(lines, rows.stop - start))
+            count += len(block)
+            if len(block) < rows.stop - start:
+                break  # the count fails
+            try:
+                values = _plain_rows(block, start, n)
+                if values is None:
+                    _int_rows(tab, block, start, n)
+                elif len(tab) == n:
+                    tab[rows] = values
+            except TableFormatError as exc:
+                fault = exc
+                break
+    count += sum(1 for _ in lines)
+    if count != n + 2:
+        raise TableFormatError(f"expected {n + 2} content lines, got {count}")
     if n < 1:
         raise TableFormatError("group order must be at least 1")
-    names = lines[1].split()
+    names = head[1].split()  # split only once the count has passed
     if len(names) != n:
         raise TableFormatError(f"expected {n} names, got {len(names)}")
-    # n rows of n entries take at least n*n characters; a shorter text fails a
-    # row check below, so it is read into one reused row, not an n x n array
-    tab = np.empty((n if n * n <= len(text) else 1, n), dtype=np.int64)
-    for rows in _row_blocks(n, n, BLOCK_ENTRIES >> 2):
-        block = lines[2 + rows.start:2 + rows.stop]
-        values = _plain_rows(block, rows.start, n)
-        if values is None:
-            _int_rows(tab, block, rows.start, n)
-        elif len(tab) == n:
-            tab[rows] = values
-    del lines  # validation runs without the row strings held
+    if fault is not None:
+        raise fault
     return FiniteGroupTable(tab, names, label=label)
 
 
@@ -900,30 +1004,28 @@ def _int_rows(tab, lines, first, n):
             raise TableFormatError(f"non-integer entry in row {i}") from None
 
 
-def load_table(path):
-    path = Path(path)
-    return loads_table(path.read_text(encoding="utf-8"), label=path.stem)
+def table_blocks(G):
+    """The table file text of ``G`` in pieces: the header, then the rows a
+    ``_row_blocks`` block at a time.  Entries are in decimal, one space
+    between them, a newline after each row.
 
-
-def dumps_table(G):
-    """The table file text of ``G``: entries in decimal, one space between
-    them, a newline after each row.
-
-    Rows are written a ``_row_blocks`` block at a time, as one gather from
-    two fixed-width byte tables, ``f"{i} "`` and ``f"{i}\\n"`` for i < n,
-    the second for the last column.  Every entry of a validated table lies
-    in [0, n), so every entry has its string.  A string shorter than the
-    width is padded with NUL bytes, which no string holds, so deleting
-    every NUL (``bytes.translate``) gives exactly the entries' strings
-    joined row by row."""
+    A block is one gather from two fixed-width byte tables, ``f"{i} "`` and
+    ``f"{i}\\n"`` for i < n, the second for the last column.  Every entry of
+    a validated table lies in [0, n), so every entry has its string.  A
+    string shorter than the width is padded with NUL bytes, which no string
+    holds, so deleting every NUL (``bytes.translate``) gives exactly the
+    entries' strings joined row by row."""
     n = G.order
     width = len(str(n - 1)) + 1
     spaced = np.array([f"{i} " for i in range(n)], dtype=f"S{width}")
     ended = np.array([f"{i}\n" for i in range(n)], dtype=f"S{width}")
-    out = [f"{n}\n{' '.join(G.names)}\n"]
+    yield f"{n}\n{' '.join(G.names)}\n"
     for rows in _row_blocks(n, n):
         block = spaced[G.table[rows]]
         block[:, -1] = ended[G.table[rows, -1]]
-        out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(out)
+        yield decode_utf8(block.tobytes().translate(None, b"\0"))
 
+
+def dumps_table(G):
+    """The table file text of ``G``: the ``table_blocks``, joined."""
+    return "".join(table_blocks(G))

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from rootsets.eta import (
     check_lemma38,
     check_lemma39,
 )
-from rootsets.kernel import load_table
+from rootsets import cli
+from rootsets.catalog import generalized_quaternion
+from rootsets.kernel import dumps_table, load_table
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -273,6 +276,82 @@ class TestEmitTable:
         report2, code2 = run(["eta", str(p), "--element", G.names[1]], capsys)
         assert code2 == 0
         assert report2["result"]["size"] >= 1
+
+    @pytest.mark.parametrize("name", ["q8.json", "z8.json", "multi-byte"])
+    def test_the_file_is_dumps_table_encoded(self, name, specs, tmp_path, capsys):
+        if name == "multi-byte":
+            (tmp_path / "z4.tbl").write_text(
+                "4\né ٣ 三 𝔸\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n", encoding="utf-8")
+            spec = tmp_path / "z4.json"
+            spec.write_text(json.dumps({"kind": "table", "path": "z4.tbl"}), encoding="utf-8")
+        else:
+            spec = specs / name
+        out = tmp_path / "out.tbl"
+        _, code = run(["emit-table", str(spec), "--out", str(out)], capsys)
+        assert code == 0
+        G = build_group(parse_spec(spec.read_text(encoding="utf-8"), spec.parent), spec.parent)
+        assert out.read_bytes() == dumps_table(G).encode("utf-8")
+
+    def test_the_table_is_written_a_block_at_a_time(self, specs, tmp_path, monkeypatch):
+        """The emitted text is never held whole: writing Q1024's 4.1 MB text
+        peaks well under its size."""
+        G = generalized_quaternion(1024)
+        text = dumps_table(G)
+        monkeypatch.setattr(cli, "build_group", lambda spec, base_dir: G)
+        spec = parse_spec((specs / "z8.json").read_text(encoding="utf-8"), specs)
+        out = tmp_path / "q1024.tbl"
+        tracemalloc.start()
+        try:
+            report, code = run_command("emit-table", spec, {"out": str(out)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["result"]["order"] == 1024
+        assert out.read_bytes() == text.encode("ascii")
+        assert peak < len(text) // 2
+
+
+class TestNotUTF8:
+    """A byte that is not UTF-8 is an input error, exit 1, that names its
+    offset; in a spec document the message also names the file."""
+
+    Z4 = b"4\ne a b c\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
+
+    @pytest.mark.parametrize("command, flags", [("emit-table", ["--out", "out.tbl"]),
+                                                ("eta", ["--element", "a"]),
+                                                ("lemmas", ["--suite", "3.1"])])
+    def test_a_table_file(self, command, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("z4.tbl").write_bytes(self.Z4.replace(b"2 3 0 1", b"2 3 \xff 1"))
+        Path("z4.json").write_text(json.dumps({"kind": "table", "path": "z4.tbl"}),
+                                   encoding="utf-8")
+        report, code = run([command, "z4.json", *flags], capsys)
+        assert code == 1
+        at = self.Z4.index(b"2 3 0 1") + 4
+        assert report == {"command": command, "errors": [f"invalid UTF-8 at byte {at}"]}
+        assert not Path("out.tbl").exists()
+
+    @pytest.mark.parametrize("command, flags", [("emit-table", ["--out", "out.tbl"]),
+                                                ("eta", ["--element", "a"]), ("k-estimate", []),
+                                                ("lemmas", ["--suite", "3.1"]),
+                                                ("reduce-t2", ["--level", "3"]),
+                                                ("omega1-census", [])])
+    def test_a_spec_document(self, command, flags, tmp_path, capsys):
+        spec = tmp_path / "z8.json"
+        spec.write_bytes(b'{"kind": "cyclic", "label": "Z\xff8", "n": 8}')
+        report, code = run([command, str(spec), *flags], capsys)
+        assert code == 1
+        assert report == {"command": command, "errors": [f"{spec}: invalid UTF-8 at byte 30"]}
+
+    def test_a_spec_in_a_lemmas_directory(self, specs, tmp_path, capsys):
+        d = tmp_path / "lemma-specs"
+        d.mkdir()
+        (d / "a.json").write_bytes((specs / "z8.json").read_bytes())
+        (d / "b.json").write_bytes(b'{"kind": "cyclic", "n": 8}\n\xc3')
+        report, code = run(["lemmas", str(d), "--suite", "3.1"], capsys)
+        assert code == 1
+        assert report == {"command": "lemmas",
+                          "errors": [f"{d / 'b.json'}: invalid UTF-8 at byte 27"]}
 
 
 class TestRunCommand:

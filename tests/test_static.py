@@ -218,3 +218,18 @@ def test_lemma_suites_live_in_eta():
                 f"{p.name}: {r}" for r in code_references(source, f"check_lemma{n}")
                 if r.startswith("def "))
     assert where == {n: [f"eta.py: def check_lemma{n}"] for n in ("31", "32", "33", "38", "39")}
+
+
+def test_text_is_decoded_in_one_place():
+    """Every text the package reads is decoded by ``kernel.decode_utf8``,
+    which turns a byte that is not UTF-8 into an input error: no module in
+    ``src/rootsets/`` calls ``read_text``, ``write_text`` or ``.decode``
+    anywhere else, so no reader bypasses that mapping or the chunked read."""
+    refs = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        found = [r for name in ("read_text", "write_text", "decode")
+                 for r in code_references(source, name)]
+        if found:
+            refs[p.name] = found
+    assert refs == {"kernel.py": ["decode_utf8"]}
