@@ -6,9 +6,11 @@ a constant eta size once born, everything else keeps growing with the level.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from rootsets.cli import build_tower, parse_spec
+from rootsets.cli import SpecError, build_tower, read_spec
+from rootsets.kernel import GroupError
 from rootsets.towers import DEFAULT_WINDOW, k_estimate
 
 DEFAULT_SPEC = Path(__file__).resolve().parent.parent / "specs" / "quat.json"
@@ -25,8 +27,11 @@ def main():
     args = parser.parse_args()
 
     path = Path(args.spec)
-    tower = build_tower(parse_spec(path.read_text(encoding="utf-8"), path.parent), path.parent)
-    rep = k_estimate(tower, max_level=args.max_level, window=args.window)
+    try:
+        tower = build_tower(read_spec(path, path.parent), path.parent)
+        rep = k_estimate(tower, max_level=args.max_level, window=args.window)
+    except (SpecError, GroupError, OSError) as exc:  # bad input: one line, exit 1
+        sys.exit(f"{parser.prog}: error: {exc}")
     levels = sorted({pl.level for r in rep.eta_reports.values()
                      for pl in r.per_level})
     header = "element".ljust(14) + "".join(f"L{k}".rjust(8) for k in levels)

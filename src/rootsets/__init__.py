@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .kernel import (  # noqa: F401
     FiniteGroupTable,
     GroupError,
-    Homomorphism,
     OracleGroup,
     center,
     centralizer,
@@ -18,6 +17,7 @@ from .kernel import (  # noqa: F401
     direct_product,
     dumps_table,
     exponent,
+    homomorphism,
     load_table,
     loads_table,
     omega1,

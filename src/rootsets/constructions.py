@@ -446,10 +446,10 @@ def quaternion_reduce(tower, level, *, verify_next_level=False):
         pos[old] = np.arange(len(old))
         Q, proj = quotient(sub, pos[N])
         # closing relation of the induction: x^m N = a2 N
-        if proj.map[int(sub.pow_vec(pos[x], m))] != proj.map[pos[a2]]:
+        if proj[int(sub.pow_vec(pos[x], m))] != proj[pos[a2]]:
             raise RelationFailed("closing relation x^m N = a2 N fails")
-        x = int(proj.map[pos[x]])
-        C = np.unique(proj.map[pos[C]])
+        x = int(proj[pos[x]])
+        C = np.unique(proj[pos[C]])
         G = Q
         m //= 2
     profile = order_profile(section)

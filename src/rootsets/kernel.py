@@ -16,7 +16,6 @@ import operator
 import os
 import stat
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -300,45 +299,30 @@ class FiniteGroupTable(OracleGroup):
             raise InvalidElementError(f"unknown element name {name!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class Homomorphism:
-    """A validated homomorphism between groups; ``map`` is a read-only index array.
+def homomorphism(source, target, mapping):
+    """The index array of a homomorphism ``source`` -> ``target``: a
+    read-only int64 copy of ``mapping``, once it is checked to be one.
     Either side may be any group with ``mul_vec``, a table or an oracle."""
-
-    source: OracleGroup
-    target: OracleGroup
-    map: np.ndarray
-
-    @classmethod
-    def validated(cls, source, target, mapping):
-        m = np.asarray(mapping)
-        if m.shape != (source.order,):
-            raise NotHomomorphicError(
-                f"map has length {m.shape[0]}, expected {source.order}")
-        if m.dtype.kind not in "iu":  # a float or a numeric string is not read as an id
-            raise InvalidElementError("map entries are not integers")
-        m = np.array(m, dtype=np.int64)  # a copy, frozen once validated
-        if m.min() < 0 or m.max() >= target.order:
-            raise InvalidElementError("map image out of range")
-        if m[0] != 0:
-            raise NotHomomorphicError("map does not send identity to identity")
-        wit = hom_witness(source, target, m)
-        if wit is not None:
-            a, b = wit
-            raise NotHomomorphicError(
-                f"homomorphism law fails at ({source.names[a]},{source.names[b]})",
-                witness=wit)
-        m.setflags(write=False)
-        return cls(source, target, m)
-
-    def __call__(self, g):
-        return int(self.map[self.source.check_element(g)])
-
-    def is_injective(self):
-        return np.unique(self.map).size == self.source.order
-
-    def image(self):
-        return np.unique(self.map)
+    m = np.asarray(mapping)
+    if m.ndim != 1:
+        raise NotHomomorphicError(f"map has shape {m.shape}, expected ({source.order},)")
+    if m.size != source.order:
+        raise NotHomomorphicError(f"map has length {m.size}, expected {source.order}")
+    if m.dtype.kind not in "iu":  # a float or a numeric string is not read as an id
+        raise InvalidElementError("map entries are not integers")
+    m = np.array(m, dtype=np.int64)  # a copy, frozen once validated
+    if m.min() < 0 or m.max() >= target.order:
+        raise InvalidElementError("map image out of range")
+    if m[0] != 0:
+        raise NotHomomorphicError("map does not send identity to identity")
+    wit = hom_witness(source, target, m)
+    if wit is not None:
+        a, b = wit
+        raise NotHomomorphicError(
+            f"homomorphism law fails at ({source.names[a]},{source.names[b]})",
+            witness=wit)
+    m.setflags(write=False)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -557,20 +541,21 @@ def hom_witness(source, target, f):
 
     Exact for maps between groups: x ranges over all of ``source`` and s over
     its generators, and the s satisfying the law are closed under products.
-    The witness is the first x of the first failing s: ``first_witness``
-    scans the pairs s-major as |S| n rows of one column, so a block holds
-    about BLOCK_ENTRIES pairs however large the source.
+    The witness is the first x of the first failing s: one ``first_witness``
+    scan per generator, over the x in blocks of about BLOCK_ENTRIES, however
+    large the source.
     """
     if f[0] != 0:
         return (0, 0)  # f(0) = f(0)*f(0) forces f(0) to be the identity
-    S = np.asarray(source.generators, dtype=np.int64)
 
-    def bad(rows):
-        s, x = np.divmod(np.arange(rows.start, rows.stop, dtype=np.int64), f.size)
-        return f[source.mul_vec(x, S[s])] != target.mul_vec(f[x], f[S[s]])
+    def bad(s, rows):  # the x of one block: ids from a range, images a slice of f
+        x = np.arange(rows.start, rows.stop, dtype=np.int64)
+        return f[source.mul_vec(x, s)] != target.mul_vec(f[rows], f[s])
 
-    wit = first_witness(S.size * f.size, 1, bad)
-    return None if wit is None else (int(wit[0] % f.size), source.generators[wit[0] // f.size])
+    for s in source.generators:
+        if (wit := first_witness(f.size, 1, lambda rows: bad(s, rows))) is not None:
+            return wit[0], s
+    return None
 
 
 def centralizer(G, S):
@@ -670,7 +655,7 @@ def cosets(G, N):
 
 
 def quotient(G, N):
-    """Coset group G/N with its canonical projection.
+    """Coset group G/N with its canonical projection, as an index array.
 
     Cosets are numbered as ``cosets`` numbers them, by least element index,
     and named by that element.  G/N is derived from G on the
@@ -681,7 +666,7 @@ def quotient(G, N):
     names = NameView(reps.size, lambda c: [f"[{nm}]" for nm in names_at(G, reps[c])])
     Q = OracleGroup.derived(G, reps, coset_of, names, N=N,
                             label=f"{G.label}/N" if G.label else "quotient")
-    return Q, Homomorphism.validated(G, Q, coset_of)
+    return Q, homomorphism(G, Q, coset_of)
 
 
 def subgroup_table(G, S):
@@ -734,12 +719,12 @@ def direct_product(G, H):
 
 
 def validate_automorphism(G, mapping):
-    m = np.asarray(mapping)  # as given: ``validated`` converts and range-checks it
+    m = np.asarray(mapping)  # as given: ``homomorphism`` converts and range-checks it
     if m.size != G.order:
         raise NotBijectiveError(f"map has length {m.size}, expected {G.order}")
     if np.unique(m).size != G.order:
         raise NotBijectiveError("map is not a bijection")
-    return Homomorphism.validated(G, G, m)
+    return homomorphism(G, G, m)
 
 
 # the least strong pseudoprime to all of _MR_BASES (Sorenson & Webster,

@@ -29,6 +29,7 @@ from .kernel import (
     closure,
     coset_orders,
     cosets,
+    first_witness,
     hom_witness,
     is_prime,
     names_at,
@@ -57,8 +58,8 @@ class CoherenceError(GroupError):
 
 
 class ExtensionConditionsFailed(GroupError):
-    def __init__(self, condition, level):
-        super().__init__(f"extension condition failed at level {level}: {condition}")
+    def __init__(self, condition, level, witness=None):
+        super().__init__(f"extension condition failed at level {level}: {condition}", witness)
         self.condition = condition
         self.level = level
 
@@ -211,7 +212,8 @@ class Tower:
         argument.  The map is checked to be injective and, exactly, by
         generators S_k of level k, a homomorphism; and ``_check_coherence``
         checks the image of every target against the id its name parses
-        to at level k + 1.
+        to at level k + 1.  A refusal carries its witness in ids: the first
+        colliding pair (x, y), x < y, or ``hom_witness``'s (x, s).
 
         Once the check passes and p = n_(k+1) / n_k is prime, level k + 1
         inherits its generators along the embedding: g, the least element
@@ -235,12 +237,16 @@ class Tower:
                 raise TowerError(f"embedding at level {k} leaves level {k + 1}")
             hit = np.zeros(tgt.n, dtype=bool)
             hit[emb] = True
-            if np.count_nonzero(hit) != src.n:
-                raise TowerError(f"embedding at level {k} is not injective")
+            if np.count_nonzero(hit) != src.n:  # the least y with an earlier x of its image
+                _, first, at = np.unique(emb, return_index=True, return_inverse=True)
+                ids = np.arange(src.n)
+                y, _ = first_witness(src.n, 1, lambda rows: first[at[rows]] != ids[rows])
+                raise TowerError(f"embedding at level {k} is not injective",
+                                 witness=(int(first[at[y]]), y))
             if k > self.k0:
                 self.embed_ids(k - 1)
-            if hom_witness(src, tgt, emb) is not None:
-                raise TowerError(f"embedding at level {k} is not a homomorphism")
+            if (wit := hom_witness(src, tgt, emb)) is not None:
+                raise TowerError(f"embedding at level {k} is not a homomorphism", witness=wit)
             self._embeds[k] = emb
             if "generators" not in vars(tgt) and is_prime(tgt.n // src.n):
                 g = int(np.argmin(hit))
@@ -519,6 +525,8 @@ class T2Tower(Tower):
         homomorphisms, which agree everywhere iff they agree on generators:
         alpha and inversion on C, the first ``c_part_count`` ids with id m =
         c^m, so on id 1; alpha^2 and conjugation by y on ``blvl.generators``.
+        The homomorphism law fails with ``hom_witness``'s (x, s), and the
+        alpha^2 law with (s,), its first failing generator.
         """
         nb = blvl.n
         hit = np.zeros(nb, dtype=bool)
@@ -526,15 +534,17 @@ class T2Tower(Tower):
             hit[alpha] = True
         if not hit.all():
             raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k)
-        if hom_witness(blvl, blvl, alpha) is not None:
-            raise ExtensionConditionsFailed("alpha is not a homomorphism", k)
+        if (wit := hom_witness(blvl, blvl, alpha)) is not None:
+            raise ExtensionConditionsFailed("alpha is not a homomorphism", k, wit)
         if alpha[1] != blvl.inv(1):
             raise ExtensionConditionsFailed("alpha does not invert the C part", k)
         if alpha[y_id] != y_id:
             raise ExtensionConditionsFailed("alpha does not fix y", k)
         S = np.asarray(blvl.generators, dtype=np.int64)
-        if not np.array_equal(alpha[alpha[S]], blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), S), y_id)):
-            raise ExtensionConditionsFailed("alpha squared is not conjugation by y", k)
+        bad = np.flatnonzero(alpha[alpha[S]] != blvl.mul_vec(blvl.mul_vec(blvl.inv(y_id), S), y_id))
+        if bad.size:
+            raise ExtensionConditionsFailed("alpha squared is not conjugation by y", k,
+                                            (int(S[bad[0]]),))
         # y^m must be the distinguished involution, making x^{2m} = a
         if int(blvl.pow_vec(y_id, self.m)) != a_id:
             raise ExtensionConditionsFailed(f"y^{self.m} is not the involution a", k)

@@ -135,7 +135,7 @@ def test_quotient_and_subgroup_of_a_level_match_the_tables():
     Q, proj = quotient(lvl, N)
     Qt, projt = quotient(table, N)
     assert isinstance(Q, OracleGroup) and isinstance(Qt, OracleGroup)
-    assert Q.names == Qt.names and np.array_equal(proj.map, projt.map)
+    assert Q.names == Qt.names and np.array_equal(proj, projt)
     assert np.array_equal(Q.group().table, Qt.group().table)
     H, old = subgroup_table(lvl, closure(lvl, [lvl.id_of("x.0")]))
     assert isinstance(H, OracleGroup) and old == [0, lvl.id_of("1/2"),

@@ -1,5 +1,5 @@
 """Set-valued kernel results are sorted, distinct int64 index arrays, and a
-validated ``Homomorphism`` holds a read-only copy of its map."""
+validated homomorphism is a read-only copy of its map."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.eta import eta, k_finite, p_prime_part
 from rootsets.kernel import (
-    Homomorphism,
     InvalidElementError,
     NotBijectiveError,
     center,
@@ -15,6 +14,7 @@ from rootsets.kernel import (
     closure,
     cyclic_subgroup,
     derived_subgroup,
+    homomorphism,
     omega1,
     quotient,
     validate_automorphism,
@@ -44,7 +44,7 @@ def test_set_results_are_sorted_distinct_index_arrays(name):
         "eta": eta(G, a).members,
         "p_prime_part": p_prime_part(G, 2).members,
         "k_finite": k_finite(G).members,
-        "image": proj.image(),
+        "image": np.unique(proj),
     }
     for what, S in results.items():
         assert_index_set(S, what)
@@ -55,16 +55,16 @@ def test_set_results_are_sorted_distinct_index_arrays(name):
 def test_a_homomorphism_holds_a_read_only_copy_of_its_map():
     Z6, Z3 = cyclic(6), cyclic(3)
     f = np.arange(6, dtype=np.int64) % 3
-    phi = Homomorphism.validated(Z6, Z3, f)
-    assert phi.map.dtype == np.int64 and not phi.map.flags.writeable
-    assert not np.shares_memory(phi.map, f)
+    phi = homomorphism(Z6, Z3, f)
+    assert phi.dtype == np.int64 and not phi.flags.writeable
+    assert not np.shares_memory(phi, f)
     f[1] = 2  # the caller's array stays writable, and the map keeps its values
-    assert phi.map.tolist() == [0, 1, 2, 0, 1, 2]
+    assert phi.tolist() == [0, 1, 2, 0, 1, 2]
     with pytest.raises(ValueError):
-        phi.map[1] = 2
-    assert type(phi(4)) is int and phi(4) == 1
-    assert not phi.is_injective()
-    assert validate_automorphism(Z6, [0, 5, 4, 3, 2, 1]).is_injective()
+        phi[1] = 2
+    assert phi[4] == 1
+    assert np.unique(phi).size != Z6.order
+    assert np.unique(validate_automorphism(Z6, [0, 5, 4, 3, 2, 1])).size == Z6.order
 
 
 @pytest.mark.parametrize("mapping, error, message", [

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.kernel import (
     FiniteGroupTable,
-    Homomorphism,
     NotASubgroupError,
     NotHomomorphicError,
     NotNormalError,
@@ -21,6 +20,7 @@ from rootsets.kernel import (
     direct_product,
     dumps_table,
     exponent,
+    homomorphism,
     is_subgroup,
     loads_table,
     names_at,
@@ -146,13 +146,13 @@ class TestQuotients:
         assert Q.order == 4
         assert exponent(Q) == 2
         assert Q.names[0] == "[c0]"
-        assert proj(Q8.id_of("c2")) == Q.identity
+        assert proj[Q8.id_of("c2")] == Q.identity
 
     def test_projection_is_surjective_hom(self):
         D6 = dihedral(6)
         Q, proj = quotient(D6, closure(D6, [D6.id_of("r2")]))
         assert Q.order == 4
-        assert len(set(proj.map)) == Q.order
+        assert len(set(proj)) == Q.order
 
     def test_subgroup_table(self):
         D4 = dihedral(4)
@@ -166,7 +166,7 @@ class TestHomomorphisms:
     def test_inversion_is_automorphism_iff_abelian(self):
         Z8 = cyclic(8)
         alpha = validate_automorphism(Z8, [Z8.inv(g) for g in Z8.elements()])
-        assert alpha(3) == 5
+        assert alpha[3] == 5
         S3 = symmetric(3)
         with pytest.raises(NotHomomorphicError):
             validate_automorphism(S3, [S3.inv(g) for g in S3.elements()])
@@ -174,13 +174,13 @@ class TestHomomorphisms:
     def test_identity_must_be_fixed(self):
         Z4 = cyclic(4)
         with pytest.raises(NotHomomorphicError):
-            Homomorphism.validated(Z4, Z4, [1, 2, 3, 0])
+            homomorphism(Z4, Z4, [1, 2, 3, 0])
 
     def test_image(self):
         Z6, Z3 = cyclic(6), cyclic(3)
-        phi = Homomorphism.validated(Z6, Z3, [g % 3 for g in range(6)])
-        assert len(phi.image()) == 3
-        assert not phi.is_injective()
+        phi = homomorphism(Z6, Z3, [g % 3 for g in range(6)])
+        assert len(np.unique(phi)) == 3
+        assert np.unique(phi).size != Z6.order
 
 
 class TestDirectProduct:

@@ -69,6 +69,22 @@ def test_eta_growth_sweep_output_is_unchanged():
     assert proc.stdout == QUAT_SWEEP
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("specs/q8.json", "cocycle_extension is a finite-group kind, not a tower kind"),
+    ("bad-utf8", "invalid UTF-8 at byte 40"),
+    ("specs/missing.json", "No such file or directory: 'specs/missing.json'"),
+])
+def test_eta_growth_sweep_refuses_a_bad_spec_in_one_line(spec, message, tmp_path):
+    """A spec that is not a tower, not UTF-8, or not there exits 1 with one
+    line on stderr, not a traceback."""
+    if spec == "bad-utf8":
+        spec = tmp_path / "quat.json"
+        spec.write_bytes(b'{"kind": "quaternion_tower", "label": "q\xff"}')
+    proc = run_script("eta_growth_sweep.py", str(spec))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.endswith(f"{message}\n") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_tree_depth_profile_is_exhaustive_to_depth_three():
     proc = run_script("tree_depth_profile.py", "--max-depth", "3")
     assert proc.returncode == 0, proc.stderr

@@ -221,12 +221,13 @@ def test_lemma_suites_live_in_eta():
 
 
 def test_text_is_decoded_in_one_place():
-    """Every text the package reads is decoded by ``kernel.decode_utf8``,
-    which turns a byte that is not UTF-8 into an input error: no module in
-    ``src/rootsets/`` calls ``read_text``, ``write_text`` or ``.decode``
-    anywhere else, so no reader bypasses that mapping or the chunked read."""
+    """Every text the package and the scripts read is decoded by
+    ``kernel.decode_utf8``, which turns a byte that is not UTF-8 into an
+    input error: no module in ``src/rootsets/`` or ``scripts/`` calls
+    ``read_text``, ``write_text`` or ``.decode`` anywhere else, so no reader
+    bypasses that mapping or the chunked read."""
     refs = {}
-    for p in sorted(PACKAGE.glob("*.py")):
+    for p in sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("scripts/*.py")):
         source = p.read_text(encoding="utf-8")
         found = [r for name in ("read_text", "write_text", "decode")
                  for r in code_references(source, name)]

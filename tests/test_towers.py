@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rootsets.catalog import dihedral, generalized_quaternion
-from rootsets.kernel import FiniteGroupTable, Homomorphism, order_profile
+from rootsets.kernel import FiniteGroupTable, homomorphism, order_profile
 from rootsets.towers import (
     CoherenceError,
     ExtensionConditionsFailed,
@@ -74,10 +74,10 @@ class TestQuaternionTower:
 
     def test_embedding_hom(self):
         t = QuaternionTower()
-        phi = Homomorphism.validated(t.level(2), t.level(3), t.embed_ids(2))
-        assert phi.is_injective()
-        assert len(phi.image()) == 8
-        assert phi.target.order == 16
+        phi = homomorphism(t.level(2), t.level(3), t.embed_ids(2))
+        assert np.unique(phi).size == phi.size
+        assert len(np.unique(phi)) == 8
+        assert t.level(3).order == 16
 
     def test_k_is_the_involution_pair(self):
         rep = k_estimate(QuaternionTower(), max_level=6)
@@ -170,8 +170,8 @@ class TestT2Tower:
         t = example_t2_tower()
         G = t.level(3).group()  # materialization runs the full table checks
         assert G.order == 32
-        phi = Homomorphism.validated(t.level(2), G, t.embed_ids(2))
-        assert phi.is_injective()
+        phi = homomorphism(t.level(2), G, t.embed_ids(2))
+        assert np.unique(phi).size == phi.size
 
     def test_rejects_recipe_that_moves_y(self):
         t = example_t2_tower()
