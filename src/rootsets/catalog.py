@@ -8,6 +8,7 @@ import numpy as np
 
 from .constructions import heisenberg
 from .kernel import FiniteGroupTable, direct_product
+from .towers import QuaternionTower
 
 
 def cyclic(n, *, label=None):
@@ -46,14 +47,10 @@ def generalized_quaternion(order):
     """Q_{2^k}: cyclic index-2 subgroup, inverting generator x with x^2 the involution."""
     if order < 8 or order & (order - 1):
         raise ValueError(f"generalized quaternion groups have order 2^k >= 8, got {order}")
+    # level k of the quaternion tower is Q_(2^(k+1)), its id e n + m the element x^e c^m
     n = order // 2
-    a = n // 2  # the unique involution, as a rotation
-    table = np.empty((order, order), dtype=np.int64)
-    for e1, m1 in itertools.product(range(2), range(n)):
-        for e2, m2 in itertools.product(range(2), range(n)):
-            e = e1 ^ e2
-            m = ((m1 if e2 == 0 else -m1) + m2 + (a if e1 and e2 else 0)) % n
-            table[e1 * n + m1, e2 * n + m2] = e * n + m
+    idx = np.arange(order)
+    table = QuaternionTower().level(n.bit_length() - 1).mul_vec(idx[:, None], idx)
     names = [f"c{m}" for m in range(n)] + [f"xc{m}" for m in range(n)]
     return FiniteGroupTable(table, names, label=f"Q{order}")
 

@@ -95,6 +95,23 @@ def _expect(ok, what):
     return lambda v, base_dir: None if ok(v) else f"{what} (got {v!r})"
 
 
+def _ints(v):
+    """The integers of a field value: the value itself, or its lists' entries."""
+    if isinstance(v, list):
+        for x in v:
+            yield from _ints(x)
+    elif _is_int(v):
+        yield v
+
+
+def _int64(v):
+    """Refuse an integer that int64, the dtype of every id, order and
+    exponent, cannot hold; every field that passes its own check is read
+    by this too."""
+    wide = next((x for x in _ints(v) if not -2 ** 63 <= x < 2 ** 63), None)
+    return None if wide is None else f"expected an integer in int64 range (got {wide!r})"
+
+
 _POSITIVE = _expect(lambda v: _is_int(v) and v >= 1, "expected an integer >= 1")
 _NAME = _expect(lambda v: isinstance(v, str), "expected an element name")
 _NAMES = _expect(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
@@ -229,7 +246,7 @@ def _validate(doc, errors, base_dir, path="spec"):
             if check.tower and isinstance(v, dict) and v.get("kind") not in (
                     check.kinds or [k for k, s in KINDS.items() if s.tower]):
                 errors.append(f"{where}: {check.message}")
-        elif (problem := check(v, base_dir)) is not None:
+        elif (problem := check(v, base_dir) or _int64(v)) is not None:
             errors.append(f"{where}: {problem}")
         else:
             values[key] = v

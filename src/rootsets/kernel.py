@@ -558,6 +558,16 @@ def hom_witness(source, target, f):
     return None
 
 
+def collision_witness(f):
+    """The first colliding pair (x, y), x < y, of the 1-D array ``f``: y the
+    least index with an earlier x of the same value, x the first index of
+    that value; None if ``f`` holds no value twice.  It sorts ``f``, so a
+    caller runs it only once its own O(n) test has found a collision."""
+    _, first, at = np.unique(f, return_index=True, return_inverse=True)
+    wit = first_witness(f.size, 1, lambda rows: first[at[rows]] != np.arange(rows.start, rows.stop))
+    return None if wit is None else (int(first[at[wit[0]]]), wit[0])
+
+
 def centralizer(G, S):
     """The elements commuting with every member of S, taken in blocks of S."""
     S = _indices(G, S)
@@ -723,7 +733,7 @@ def validate_automorphism(G, mapping):
     if m.size != G.order:
         raise NotBijectiveError(f"map has length {m.size}, expected {G.order}")
     if np.unique(m).size != G.order:
-        raise NotBijectiveError("map is not a bijection")
+        raise NotBijectiveError("map is not a bijection", witness=collision_witness(m.reshape(-1)))
     return homomorphism(G, G, m)
 
 

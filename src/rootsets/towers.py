@@ -13,6 +13,7 @@ provide the expected answers the reports are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .kernel import (
     center,
     check_normal,
     closure,
+    collision_witness,
     coset_orders,
     cosets,
-    first_witness,
     hom_witness,
     is_prime,
     names_at,
@@ -126,19 +127,6 @@ def coordinate_names(prefixes, ck):
     return fmt, ids_of
 
 
-def prufer_level(p, k):
-    """Z_(p^k) on the ids m = 0 .. p^k - 1, the element m/p^k mod 1."""
-    n = p ** k
-    fmt, ids_of = coordinate_names(PruferTower.prefixes, n)
-    return Level(n, NameView(n, fmt),
-                 lambda a, b: (a + b) % n,
-                 lambda a: (-a) % n,
-                 label=f"prufer-{p}^{k}",
-                 pow_vec=lambda a, e: a * (e % n) % n,
-                 ids_of=ids_of,
-                 order_vec=lambda a: n // np.gcd(a, n))
-
-
 # ---------------------------------------------------------------------------
 # levels
 
@@ -167,8 +155,10 @@ class Tower:
     ``prefixes[r]`` followed by the fraction m/p^k (``coordinate_names``);
     the first c_k ids are C_k.  The embedding into level k + 1 keeps r and
     writes m/p^k as (p m)/p^(k+1), so it is the id times p.  A kind gives
-    ``_build_level(k)``, ``p`` and ``prefixes``; the quotient, which is not
-    on these coordinates, gives its own ``embed_vec``.
+    ``p``, ``prefixes``, its first level ``k0`` and ``_build_level(k)``,
+    which states the level's label and closed forms and leaves the rest to
+    ``_coordinate_level``; the quotient, which is not on these coordinates,
+    gives its own levels and ``embed_vec``.
     """
 
     kind = "tower"
@@ -178,12 +168,23 @@ class Tower:
         self._levels = {}
         self._embeds = {}
 
-    @property
+    @cached_property
     def k0(self):
+        """The first level: a class constant of the kind, or set once per
+        tower, which the instance's own attribute then holds."""
         raise NotImplementedError
 
     def _build_level(self, k):
         raise NotImplementedError
+
+    def _coordinate_level(self, k, label, mul_vec, inv_vec, pow_vec, order_vec):
+        """Level k on the ids r c_k + m, with the names ``coordinate_names``
+        reads and formats, from the kind's label and four closed forms."""
+        ck = self.c_part_count(k)
+        n = len(self.prefixes) * ck
+        fmt, ids_of = coordinate_names(self.prefixes, ck)
+        return Level(n, NameView(n, fmt), mul_vec, inv_vec, label=label, pow_vec=pow_vec,
+                     ids_of=ids_of, order_vec=order_vec)
 
     def embed_vec(self, k, ids):
         """The embedding of level k into level k + 1, on an index array."""
@@ -212,8 +213,9 @@ class Tower:
         argument.  The map is checked to be injective and, exactly, by
         generators S_k of level k, a homomorphism; and ``_check_coherence``
         checks the image of every target against the id its name parses
-        to at level k + 1.  A refusal carries its witness in ids: the first
-        colliding pair (x, y), x < y, or ``hom_witness``'s (x, s).
+        to at level k + 1.  A refusal carries its witness in ids:
+        ``collision_witness``'s first colliding pair (x, y), x < y, or
+        ``hom_witness``'s (x, s).
 
         Once the check passes and p = n_(k+1) / n_k is prime, level k + 1
         inherits its generators along the embedding: g, the least element
@@ -237,12 +239,9 @@ class Tower:
                 raise TowerError(f"embedding at level {k} leaves level {k + 1}")
             hit = np.zeros(tgt.n, dtype=bool)
             hit[emb] = True
-            if np.count_nonzero(hit) != src.n:  # the least y with an earlier x of its image
-                _, first, at = np.unique(emb, return_index=True, return_inverse=True)
-                ids = np.arange(src.n)
-                y, _ = first_witness(src.n, 1, lambda rows: first[at[rows]] != ids[rows])
+            if np.count_nonzero(hit) != src.n:
                 raise TowerError(f"embedding at level {k} is not injective",
-                                 witness=(int(first[at[y]]), y))
+                                 witness=collision_witness(emb))
             if k > self.k0:
                 self.embed_ids(k - 1)
             if (wit := hom_witness(src, tgt, emb)) is not None:
@@ -284,6 +283,7 @@ class PruferTower(Tower):
     kind = "prufer"
     theory_tag = "K = whole group (abelian quasicyclic case)"
     prefixes = [""]
+    k0 = 1
 
     def __init__(self, p):
         super().__init__()
@@ -291,12 +291,14 @@ class PruferTower(Tower):
             raise TowerError(f"{p} is not prime")
         self.p = p
 
-    @property
-    def k0(self):
-        return 1
-
     def _build_level(self, k):
-        return prufer_level(self.p, k)
+        """Z_(p^k) on the ids m = 0 .. p^k - 1, the element m/p^k mod 1."""
+        n = self.c_part_count(k)
+        return self._coordinate_level(k, f"prufer-{self.p}^{k}",
+                                      lambda a, b: (a + b) % n,
+                                      lambda a: (-a) % n,
+                                      lambda a, e: a * (e % n) % n,
+                                      lambda a: n // np.gcd(a, n))
 
     def transversal_names(self):
         return ["0"]
@@ -329,6 +331,7 @@ class T1Tower(Tower):
         self.p = p
         self.a_gen = a_gen
         self.n = prime_factors(a_order).get(p, 0)
+        self.k0 = max(self.n, 1)
         self.label = label
         # h = reps[dec_t[h]] a^(dec_j[h]): row t of the cosets is reps[t] a^j
         A = H.pow_vec(a_gen, np.arange(a_order))
@@ -337,7 +340,6 @@ class T1Tower(Tower):
         self.dec_j[rows] = np.arange(a_order)
         self._rep_names = names_at(H, self.reps)
         self.prefixes = [f"{nm}." for nm in self._rep_names]
-        self.t_count = self.reps.size
         # rep_pow[t, j] = reps[t]^j for j below the rep's order
         self.rep_order = H.orders[self.reps]
         self.rep_pow = H.pow_vec(self.reps[:, None], np.arange(self.rep_order.max()))
@@ -345,15 +347,10 @@ class T1Tower(Tower):
         self.rep_s = coset_orders(H, self.reps, A)
         self.rep_j = self.dec_j[H.pow_vec(self.reps, self.rep_s)]
 
-    @property
-    def k0(self):
-        return max(self.n, 1)
-
     def _build_level(self, k):
-        p, n = self.p, self.n
         ck = self.c_part_count(k)
-        u = p ** (k - n)
-        Ht, Hinv = self.H.table, self.H.inv_vec
+        u = self.p ** (k - self.n)
+        Hmul, Hinv = self.H.mul_vec, self.H.inv_vec
         reps, dec_t, dec_j = self.reps, self.dec_t, self.dec_j
         rep_pow, rep_order = self.rep_pow, self.rep_order
         rep_s, rep_j = self.rep_s, self.rep_j
@@ -361,7 +358,7 @@ class T1Tower(Tower):
         def mul_vec(a, b):
             t1, m1 = np.divmod(a, ck)
             t2, m2 = np.divmod(b, ck)
-            h = Ht[reps[t1], reps[t2]]
+            h = Hmul(reps[t1], reps[t2])
             return dec_t[h] * ck + (m1 + m2 + dec_j[h] * u) % ck
 
         def inv_vec(a):
@@ -383,12 +380,8 @@ class T1Tower(Tower):
             s = rep_s[t]
             return s * (ck // np.gcd((rep_j[t] * u + s * m) % ck, ck))
 
-        fmt, ids_of = coordinate_names(self.prefixes, ck)
-        lvl = Level(self.t_count * ck, NameView(self.t_count * ck, fmt), mul_vec, inv_vec,
-                    label=f"{self.label or 't1'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
-                    order_vec=order_vec)
-        assert lvl.n == self.H.order * ck // (p ** n)
-        return lvl
+        return self._coordinate_level(k, f"{self.label or 't1'}-level{k}",
+                                      mul_vec, inv_vec, pow_vec, order_vec)
 
     def transversal_names(self):
         return list(self._rep_names)
@@ -429,13 +422,10 @@ class T2Tower(Tower):
         self.prefixes = base.prefixes + [f"x.{pf}" for pf in base.prefixes]
         # the involution of C, the base id c_k / 2 at every level k
         self.a_name = base.level(base.k0).names[base.c_part_count(base.k0) // 2]
-        self._k0 = None
 
-    @property
+    @cached_property
     def k0(self):
-        if self._k0 is None:
-            self._k0 = max(self.base.k0, self.base.born(self.y_name, "y element"), 1)
-        return self._k0
+        return max(self.base.k0, self.base.born(self.y_name, "y element"), 1)
 
     @property
     def x_name(self):
@@ -484,10 +474,8 @@ class T2Tower(Tower):
             e, g = np.divmod(a, nb)
             return np.where(e == 1, 2 * blvl.orders[mul_vec(a, a)], blvl.orders[g])
 
-        fmt, ids_of = coordinate_names(self.prefixes, self.c_part_count(k))
-        return Level(2 * nb, NameView(2 * nb, fmt), mul_vec, inv_vec,
-                     label=f"{self.label or 't2'}-level{k}", pow_vec=pow_vec, ids_of=ids_of,
-                     order_vec=order_vec)
+        return self._coordinate_level(k, f"{self.label or 't2'}-level{k}",
+                                      mul_vec, inv_vec, pow_vec, order_vec)
 
     def _alpha_map(self, k):
         """The automorphism candidate of base level k that the recipe gives.
@@ -521,19 +509,23 @@ class T2Tower(Tower):
         """The extension conditions on base level k, exact, by generators.
 
         A map of n ids onto all n is a bijection; once ``hom_witness`` passes
-        it is an automorphism.  Each later law then compares two
-        homomorphisms, which agree everywhere iff they agree on generators:
-        alpha and inversion on C, the first ``c_part_count`` ids with id m =
-        c^m, so on id 1; alpha^2 and conjugation by y on ``blvl.generators``.
+        it is an automorphism.  A map in range that is not onto fails with
+        ``collision_witness``'s first colliding pair (x, y).  Each later law
+        then compares two homomorphisms, which agree everywhere iff they
+        agree on generators: alpha and inversion on C, the first
+        ``c_part_count`` ids with id m = c^m, so on id 1; alpha^2 and
+        conjugation by y on ``blvl.generators``.
         The homomorphism law fails with ``hom_witness``'s (x, s), and the
         alpha^2 law with (s,), its first failing generator.
         """
         nb = blvl.n
         hit = np.zeros(nb, dtype=bool)
-        if alpha.shape == (nb,) and alpha[0] == 0 and alpha.min() >= 0 and alpha.max() < nb:
+        in_range = alpha.shape == (nb,) and alpha.min() >= 0 and alpha.max() < nb
+        if in_range:
             hit[alpha] = True
-        if not hit.all():
-            raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k)
+        if not (hit.all() and alpha[0] == 0):
+            raise ExtensionConditionsFailed("alpha is not a bijection fixing identity", k,
+                                            collision_witness(alpha) if in_range else None)
         if (wit := hom_witness(blvl, blvl, alpha)) is not None:
             raise ExtensionConditionsFailed("alpha is not a homomorphism", k, wit)
         if alpha[1] != blvl.inv(1):
@@ -569,13 +561,10 @@ class QuaternionTower(Tower):
     theory_tag = "K = <a> (unique involution)"
     p = 2
     prefixes = ["", "x."]
+    k0 = 2
     m = 1
     x_name = "x.0"
     a_name = "1/2"
-
-    @property
-    def k0(self):
-        return 2
 
     def _build_level(self, k):
         ck = self.c_part_count(k)
@@ -602,10 +591,7 @@ class QuaternionTower(Tower):
             # c^m has order ck / gcd(m, ck); every x c^m squares to the involution
             return np.where(a >= ck, 4, ck // np.gcd(a, ck))
 
-        fmt, ids_of = coordinate_names(self.prefixes, ck)
-        return Level(2 * ck, NameView(2 * ck, fmt), mul_vec, inv_vec,
-                     label=f"Q{2 ** (k + 1)}", pow_vec=pow_vec, ids_of=ids_of,
-                     order_vec=order_vec)
+        return self._coordinate_level(k, f"Q{2 ** (k + 1)}", mul_vec, inv_vec, pow_vec, order_vec)
 
     def theory_names(self, k):
         return {"0", "1/2"}
@@ -628,11 +614,7 @@ class QuotientTower(Tower):
         self.gen_names = list(gen_names)
         self.label = label
         self._n_names = None
-        self._k0 = max([base.k0] + [base.born(nm, "generator") for nm in self.gen_names])
-
-    @property
-    def k0(self):
-        return self._k0
+        self.k0 = max([base.k0] + [base.born(nm, "generator") for nm in self.gen_names])
 
     @property
     def theory_tag(self):

@@ -40,7 +40,6 @@ from rootsets.towers import (
     Tower,
     TowerError,
     k_estimate,
-    prufer_level,
 )
 
 kernel = importlib.import_module("rootsets.kernel")
@@ -245,7 +244,7 @@ def test_the_c_part_is_the_first_ids(tower):
         G = tower.level(k)
         C = np.arange(tower.c_part_count(k), dtype=np.int64)
         # C's names are those of the same ids in the group C comes from
-        c_level = tower.base.level(k) if hasattr(tower, "base") else prufer_level(2, k)
+        c_level = tower.base.level(k) if hasattr(tower, "base") else PruferTower(2).level(k)
         assert [G.names[c] for c in C] == [c_level.names[c] for c in C], k
         assert is_subgroup(G, C) and G.orders[C].max() == C.size, k  # cyclic
 

@@ -13,10 +13,13 @@ import pytest
 from rootsets.catalog import corpus, dihedral
 from rootsets.kernel import (
     BLOCK_ENTRIES,
+    NotBijectiveError,
     NotHomomorphicError,
+    collision_witness,
     first_witness,
     hom_witness,
     homomorphism,
+    validate_automorphism,
 )
 from rootsets.towers import (
     ExtensionConditionsFailed,
@@ -25,6 +28,7 @@ from rootsets.towers import (
     T1Tower,
     T2Tower,
     TowerError,
+    example_t2_tower,
     inversion_recipe,
 )
 
@@ -241,3 +245,85 @@ def test_alpha_squared_names_its_first_generator(k, y):
     conj = [int(blvl.mul(blvl.mul(blvl.inv(y), s), y)) for s in blvl.generators]
     failing = [s for s, c in zip(blvl.generators, conj) if alpha[alpha[s]] != c]
     assert exc.value.witness == (failing[0],)
+
+
+# ---------------------------------------------------------------------------
+# one injectivity witness, read only once a cheaper test has failed
+
+def colliding(n, pairs):
+    """0 .. n - 1 with f[y] = f[x] for each (x, y) of ``pairs``."""
+    f = np.arange(n, dtype=np.int64)
+    for x, y in pairs:
+        f[y] = f[x]
+    return f
+
+
+@pytest.mark.parametrize("f", [
+    colliding(1, []), colliding(40, []), colliding(2, [(0, 1)]), colliding(40, [(39, 38)]),
+    colliding(40, [(3, 20), (9, 11)]), colliding(40, [(20, 3)]),
+    colliding(3 * BLOCK_ENTRIES, [(5, BLOCK_ENTRIES - 1)]),
+    colliding(3 * BLOCK_ENTRIES, [(BLOCK_ENTRIES - 1, BLOCK_ENTRIES)]),
+    colliding(3 * BLOCK_ENTRIES,
+              [(7, 3 * BLOCK_ENTRIES - 1), (2 * BLOCK_ENTRIES, 2 * BLOCK_ENTRIES + 1)]),
+    np.array([5, -1, 5, -1]), np.array([9, 9, 9]), np.array([3.5, 1.0, 3.5]),
+], ids=["one", "none", "two", "descending", "two-pairs", "reversed",
+        "block-0", "block-edge", "blocks-1-and-2", "negative", "constant", "float"])
+def test_collision_witness_is_the_first_collision(f):
+    assert collision_witness(f) == first_collision(f)
+
+
+@pytest.mark.parametrize("name", ["Z8", "S3", "Q16", "Heis27"])
+def test_a_map_that_is_not_a_bijection_names_its_first_collision(name):
+    G = corpus()[name]
+    rng = np.random.default_rng(G.order)
+    for x, y in [(0, 1), (0, G.order - 1), (G.order - 2, G.order - 1)] + [
+            tuple(sorted(rng.choice(G.order, size=2, replace=False).tolist())) for _ in range(6)]:
+        m = colliding(G.order, [(x, y)])
+        with pytest.raises(NotBijectiveError, match="^map is not a bijection$") as exc:
+            validate_automorphism(G, m)
+        assert exc.value.witness == first_collision(m) == (x, y)
+    m = colliding(G.order, [])[::-1].reshape(1, -1)  # one row: pairs index it flat
+    m[0, :2] = 7
+    with pytest.raises(NotBijectiveError) as exc:
+        validate_automorphism(G, m)
+    assert exc.value.witness == first_collision(m.reshape(-1)) == (0, 1)
+
+
+def forged_alpha(tower, k, edit):
+    alpha = tower._alpha_map(k)
+    edit(alpha)
+    tower._alpha_map = lambda level: alpha
+    with pytest.raises(ExtensionConditionsFailed,
+                       match=f"^extension condition failed at level {k}: "
+                             "alpha is not a bijection fixing identity$") as exc:
+        tower.level(k)
+    return alpha, exc.value.witness
+
+
+@pytest.mark.parametrize("k, x, y", [(2, 1, 2), (5, 3, 63), (5, 0, 32), (9, 700, 1023)])
+def test_an_alpha_that_collides_names_its_first_collision(k, x, y):
+    def edit(alpha):
+        alpha[y] = alpha[x]
+    alpha, witness = forged_alpha(example_t2_tower(), k, edit)
+    assert witness == first_collision(alpha) == (x, y)
+
+
+def test_a_recipe_that_folds_two_reps_names_its_first_collision():
+    """Both reps of Z2 x C sent to e: alpha(z c^m) = alpha(c^m), ids m and c_k + m."""
+    base = T1Tower(corpus()["Z2"], 2, 0)
+    tower = T2Tower(base, "0.1/4", 2, {"0": ("0", (0, 1)), "1": ("0", (0, 1))})
+    with pytest.raises(ExtensionConditionsFailed) as exc:
+        tower.level(3)
+    assert exc.value.condition == "alpha is not a bijection fixing identity"
+    alpha = tower._alpha_map(3)
+    assert exc.value.witness == first_collision(alpha) == (0, base.c_part_count(3))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda alpha: alpha.__setitem__(7, -1),           # out of range: no pair is read
+    lambda alpha: alpha.__setitem__(7, alpha.size),
+    lambda alpha: alpha.__setitem__([7, 9], [-1, alpha[8]]),  # out of range, and a collision
+    lambda alpha: alpha.__setitem__([0, 1], alpha[[1, 0]]),  # a bijection moving the identity
+], ids=["negative", "too-large", "negative-and-collision", "identity-moved"])
+def test_an_alpha_with_no_collision_in_range_has_no_witness(edit):
+    assert forged_alpha(example_t2_tower(), 5, edit)[1] is None

@@ -131,6 +131,51 @@ def test_malformed_field_exits_one(doc, message, tmp_path, capsys):
     assert any(message in e for e in report["errors"]), report["errors"]
 
 
+def int64_error(field, value):
+    return f"spec.{field}: expected an integer in int64 range (got {value})"
+
+
+BIG_M = {"kind": "t2_tower", "base": {"kind": "prufer_tower", "p": 2}, "y": "1/2",
+         "alpha": "inversion", "m": 10 ** 30 + 1}
+
+
+@pytest.mark.parametrize("doc, argv, error", [
+    (BIG_M, ["k-estimate", "--max-level", "3"], int64_error("m", 10 ** 30 + 1)),
+    (BIG_M, ["reduce-t2", "--level", "3"], int64_error("m", 10 ** 30 + 1)),
+    ({"kind": "cocycle_extension", "base": C2, "p": 2, "w": [[0, 0], [0, 10 ** 23]]},
+     ["k-estimate"], int64_error("w", 10 ** 23)),
+    ({"kind": "cyclic", "n": 2 ** 64}, ["k-estimate"], int64_error("n", 2 ** 64)),
+], ids=["t2-m-k-estimate", "t2-m-reduce-t2", "cocycle-w", "cyclic-n"])
+def test_an_integer_beyond_int64_exits_one(doc, argv, error, tmp_path, capsys):
+    report, code = run(argv[:1] + [write(tmp_path, doc)] + argv[1:], capsys)
+    assert (code, report["errors"]) == (1, [error])
+
+
+W = EXAMPLES["cocycle_extension"]
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"kind": "cyclic", "n": 2 ** 63 - 1}, None),
+    ({"kind": "cyclic", "n": 2 ** 63}, int64_error("n", 2 ** 63)),
+    ({**W, "w": [[0, 0], [0, -2 ** 63]]}, None),
+    ({**W, "w": [[0, 0], [-2 ** 63 - 1, 2 ** 63]]}, int64_error("w", -2 ** 63 - 1)),
+    ({**T2, "m": 2 ** 63 - 1}, None),
+    ({"kind": "prufer_tower", "p": 2 ** 61 - 1}, None),
+    ({"kind": "prufer_tower", "p": 2 ** 64 - 59}, int64_error("p", 2 ** 64 - 59)),
+    ({"kind": "heisenberg", "p": 2 ** 64 - 59}, int64_error("p", 2 ** 64 - 59)),
+], ids=["n-max", "n-above", "w-min", "w-below", "m-max", "p-max", "p-prime-above",
+        "heisenberg-p-prime-above"])
+def test_spec_integers_are_read_up_to_int64(doc, error):
+    """The field's own check runs first, so a prime above PRIME_BOUND keeps
+    its message; a value that passes it and int64 cannot hold is refused."""
+    if error is None:
+        assert parse_spec(json.dumps(doc)).values
+    else:
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(doc))
+        assert exc.value.errors == [error]
+
+
 def test_nested_unknown_kind_reports_both_errors():
     doc = {"kind": "quotient_tower", "base": {"kind": "bogus"}, "normal": ["0"]}
     with pytest.raises(SpecError) as exc:

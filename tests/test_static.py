@@ -170,12 +170,34 @@ def test_only_first_witness_takes_a_first_hit():
     assert refs == {"kernel.py": ["first_witness"]}
 
 
+def call_sites(source, name):
+    """Where ``name`` is called, as a function or a method: the qualified
+    name of each enclosing def or class, in source order."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
 def test_tower_coordinates_are_stated_once():
     """Every tower kind but the quotient is on the ids r p^k + m, named
     "prefix + m/p^k": fractions are formatted and read in ``src/rootsets/``
     only by ``coordinate_names``, and the embedding (the id times p) and
     C's size p^k are defined only on ``Tower`` and, for the quotient's own
-    embedding, on ``QuotientTower``."""
+    embedding, on ``QuotientTower``.  A kind states its label and closed
+    forms, and ``Tower._coordinate_level`` alone names the ids and makes
+    the ``Level``: no module-level function builds a level, the quotient's
+    is ``Level.derived``, and ``towers.py`` multiplies in a group only
+    through its protocol, never reading a ``.table``."""
     uses, defs = [], []
     for p in sorted(PACKAGE.glob("*.py")):
         source = p.read_text(encoding="utf-8")
@@ -188,6 +210,20 @@ def test_tower_coordinates_are_stated_once():
                     "towers.py: def fraction_id", "towers.py: coordinate_names.read"]
     assert defs == ["towers.py: def Tower.embed_vec", "towers.py: def QuotientTower.embed_vec",
                     "towers.py: def Tower.c_part_count"]
+    calls = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        for name in ("coordinate_names", "Level", "derived", "_coordinate_level"):
+            calls.setdefault(name, []).extend(f"{p.name}: {r}" for r in call_sites(source, name))
+    assert calls["coordinate_names"] == calls["Level"] == ["towers.py: Tower._coordinate_level"]
+    assert [c for c in calls["derived"] if c.startswith("towers.py")] == [
+        "towers.py: QuotientTower._build_level"]
+    assert calls["_coordinate_level"] == [f"towers.py: {kind}._build_level" for kind in (
+        "PruferTower", "T1Tower", "T2Tower", "QuaternionTower")]
+    towers = (PACKAGE / "towers.py").read_text(encoding="utf-8")
+    assert [node.name for node in ast.parse(towers).body if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_level")] == []
+    assert code_references(towers, "table") == []
 
 
 def test_reports_are_serialized_by_one_rule():

@@ -1,9 +1,11 @@
 """Ascending towers: embeddings, level-wise eta, stabilization, quotients."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from rootsets.catalog import dihedral, generalized_quaternion
+from rootsets.catalog import corpus, dihedral, generalized_quaternion
 from rootsets.kernel import FiniteGroupTable, homomorphism, order_profile
 from rootsets.towers import (
     CoherenceError,
@@ -333,3 +335,42 @@ class TestReportEdges:
     def test_eta_below_k0_names_the_start_level(self):
         with pytest.raises(TowerError, match="starts at level 2, got 1"):
             eta_stabilized(QuaternionTower(), "1/2", max_level=1)
+
+
+def quaternion_table_by_loop(order):
+    """The double loop ``catalog.generalized_quaternion`` ran before it read
+    the quaternion tower's product, kept as the reference: the id e n + m is
+    x^e c^m, c of order n = order / 2 and x^2 = c^(n/2)."""
+    n = order // 2
+    a = n // 2
+    table = np.empty((order, order), dtype=np.int64)
+    for e1, m1 in itertools.product(range(2), range(n)):
+        for e2, m2 in itertools.product(range(2), range(n)):
+            e = e1 ^ e2
+            m = ((m1 if e2 == 0 else -m1) + m2 + (a if e1 and e2 else 0)) % n
+            table[e1 * n + m1, e2 * n + m2] = e * n + m
+    return table
+
+
+@pytest.mark.parametrize("order", [2 ** j for j in range(3, 11)])
+def test_catalog_quaternion_is_the_tower_product(order):
+    G = generalized_quaternion(order)
+    assert np.array_equal(G.table, quaternion_table_by_loop(order))
+    n = order // 2
+    assert G.label == f"Q{order}"
+    assert G.names == [f"c{m}" for m in range(n)] + [f"xc{m}" for m in range(n)]
+
+
+@pytest.mark.parametrize("name, p, a_gen", [("D4", 2, "r2"), ("Heis27", 3, "001"), ("S3", 2, "012")])
+def test_a_t1_level_holds_h_as_a_subgroup(name, p, a_gen):
+    """h = reps[t] a^j is the element reps[t] c^(j u) of level k, a = c^u,
+    u = p^(k - n): so h -> t c_k + j u is a homomorphism of H into every
+    level, which fails on a nonabelian H if the level multiplies its reps
+    in the opposite order."""
+    H = corpus()[name]
+    tower = T1Tower(H, p, H.id_of(a_gen))
+    for k in range(tower.k0, tower.k0 + 3):
+        ck = tower.c_part_count(k)
+        phi = tower.dec_t * ck + tower.dec_j * p ** (k - tower.n) % ck
+        homomorphism(H, tower.level(k), phi)
+        assert np.unique(phi).size == H.order
