@@ -95,21 +95,24 @@ def _expect(ok, what):
     return lambda v, base_dir: None if ok(v) else f"{what} (got {v!r})"
 
 
-def _ints(v):
-    """The integers of a field value: the value itself, or its lists' entries."""
-    if isinstance(v, list):
-        for x in v:
-            yield from _ints(x)
-    elif _is_int(v):
-        yield v
-
-
 def _int64(v):
     """Refuse an integer that int64, the dtype of every id, order and
     exponent, cannot hold; every field that passes its own check is read
-    by this too."""
-    wide = next((x for x in _ints(v) if not -2 ** 63 <= x < 2 ** 63), None)
-    return None if wide is None else f"expected an integer in int64 range (got {wide!r})"
+    by this too.  The integers of a field are the value itself, or the
+    entries of a matrix that ``_MATRIX`` has passed, so of rows of ints
+    only: a row is bounded by its ``min`` and ``max``, and only the first
+    row out of range is walked, for its first wide entry."""
+    if _is_int(v):
+        rows = [[v]]
+    elif isinstance(v, list) and all(isinstance(r, list) for r in v):
+        rows = v
+    else:
+        return None
+    for r in rows:
+        if r and not (-2 ** 63 <= min(r) and max(r) < 2 ** 63):
+            wide = next(x for x in r if not -2 ** 63 <= x < 2 ** 63)
+            return f"expected an integer in int64 range (got {wide!r})"
+    return None
 
 
 _POSITIVE = _expect(lambda v: _is_int(v) and v >= 1, "expected an integer >= 1")

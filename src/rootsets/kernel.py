@@ -92,6 +92,45 @@ class NameView(Sequence):
     __hash__ = None
 
 
+class SortedNames(Sequence):
+    """The sorted names of the elements ``ids`` of a group, formatted by
+    ``format`` (as ``NameView.format``) on first read, not before: a report
+    that never prints them never formats them.  Once the names exist, the
+    ids and the formatter are dropped.
+
+    It compares equal to any sequence with the same names in the same order.
+    """
+
+    def __init__(self, ids, format):
+        self._ids = ids
+        self._format = format
+        self._names = None
+
+    @property
+    def names(self):
+        if self._names is None:
+            self._names = sorted(self._format(self._ids))
+            self._ids = self._format = None
+        return self._names
+
+    def __len__(self):
+        return len(self._ids) if self._names is None else len(self._names)
+
+    def __getitem__(self, i):
+        return self.names[i]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and self.names == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self.names)
+
+
 def names_at(G, ids):
     """The names of the elements ``ids`` (an index array) of G, as a list."""
     if isinstance(G.names, NameView):
@@ -541,12 +580,25 @@ def hom_witness(source, target, f):
 
     Exact for maps between groups: x ranges over all of ``source`` and s over
     its generators, and the s satisfying the law are closed under products.
-    The witness is the first x of the first failing s: one ``first_witness``
-    scan per generator, over the x in blocks of about BLOCK_ENTRIES, however
-    large the source.
+    The witness is the first x of the first failing s, read by
+    ``first_witness`` in one of two block shapes.  A source of at most
+    BLOCK_ENTRIES elements is one |S| x n scan, a row of every x per
+    generator, generator-major, so a block takes several generators at
+    once.  A larger source takes one scan per generator, over the x in
+    blocks of about BLOCK_ENTRIES, however large it is.
     """
     if f[0] != 0:
         return (0, 0)  # f(0) = f(0)*f(0) forces f(0) to be the identity
+    if f.size <= BLOCK_ENTRIES:
+        S = np.asarray(source.generators, dtype=np.int64)
+        x = np.arange(f.size, dtype=np.int64)
+
+        def rows_of_s(rows):  # generators S[rows], one row of every x each
+            s = S[rows, None]
+            return f[source.mul_vec(x, s)] != target.mul_vec(f, f[s])
+
+        wit = first_witness(S.size, f.size, rows_of_s)
+        return None if wit is None else (wit[1], source.generators[wit[0]])
 
     def bad(s, rows):  # the x of one block: ids from a range, images a slice of f
         x = np.arange(rows.start, rows.stop, dtype=np.int64)

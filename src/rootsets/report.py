@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .kernel import SortedNames
+
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_FAILED = "hypothesis-failed"
@@ -15,7 +17,8 @@ class Report:
     Fields come in declaration order, without those that are None or
     declared with ``metadata={"json": False}``.  Reports and lists of
     reports are converted the same way, and dict keys become strings; a
-    list of plain values (names) passes through unchanged, not item by item.
+    list of plain values (names) passes through unchanged, not item by item,
+    and ``SortedNames`` become that list.
     """
 
     def to_json(self):
@@ -30,6 +33,8 @@ def _plain(value):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, list) and value and isinstance(value[0], Report):
         return [v.to_json() for v in value]
+    if isinstance(value, SortedNames):
+        return list(value)
     return value
 
 

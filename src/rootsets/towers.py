@@ -13,7 +13,7 @@ provide the expected answers the reports are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .kernel import (
     NameView,
     NotNormalError,
     OracleGroup,
+    SortedNames,
     _row_blocks,
     center,
     check_normal,
@@ -683,7 +684,7 @@ class QuotientTower(Tower):
 class LevelEta(Report):
     level: int
     size: int
-    members: list = None  # names, kept only when small
+    members: SortedNames = None  # kept only when small
 
 
 @dataclass
@@ -699,7 +700,7 @@ class EtaReport(Report):
     per_level: list
     stabilized: bool
     certificate: Certificate = None
-    stable_set: list = None
+    stable_set: SortedNames = None
 
 
 @dataclass
@@ -776,14 +777,16 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     eta(g) is the complement of the roots of g.  A level is held as
     ``root_images`` of its targets, n x D with D distinct target orders, so
     one ``np.bincount`` of the keys of a column counts the roots of every
-    target of that order.  Member lists come from one column, formatted and
-    sorted once per key: targets of one cyclic subgroup share them.  The root
-    images of only two levels, k and k + 1, are held at once: after
-    ``_check_coherence`` and equal sizes, the eta sets of a window agree by
-    name, so a certificate's stable set is read at the last level of its
-    window.  A name is read once, at the first level where it names an
-    element; above that its id is carried along the validated embedding,
-    and ``_check_coherence`` checks that the carried id keeps the name.
+    target of that order.  Member lists come from one column, one per key:
+    targets of one cyclic subgroup share them.  They are ``SortedNames``,
+    formatted and sorted only if a report prints them, so ``k_estimate``
+    formats none.  The root images of only two levels, k and k + 1, are
+    held at once: after ``_check_coherence`` and equal sizes, the eta sets
+    of a window agree by name, so a certificate's stable set is read at the
+    last level of its window.  A name is read once, at the first level
+    where it names an element; above that its id is carried along the
+    validated embedding, and ``_check_coherence`` checks that the carried
+    id keeps the name.
     """
     if window < 1:
         raise TowerError(f"window must be >= 1, got {window}")
@@ -792,7 +795,9 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     # every level is built before any is embedded, so a level that fails to
     # build is reported ahead of an embedding fault below it
     levels = [tower.level(k) for k in range(k0, max_level + 1)]
-    sizes = [{} for _ in names]  # sizes[j][k] = |eta(names[j])| at level k
+    # |eta(names[j])| at each level from the first where names[j] is live;
+    # its id is carried up from there, so it is live at every level above
+    sizes = [[] for _ in names]
     per_level = [[] for _ in names]
     certs = {}  # j -> (certificate, stable set)
     lo = None
@@ -806,25 +811,26 @@ def _eta_engine(tower, names, max_level, window, member_cap):
             hi = _LevelRoots.of(lvl, names, ids)
             _check_coherence(k - 1, emb, lo, hi, names)
         lo = hi
+        fmt = partial(names_at, lvl)
         for i in range(hi.ds.size):
             kp = hi.key[hi.P[:, i]] + 1  # shifted keys of the power images, -1 -> 0
             counts = np.bincount(kp, minlength=lvl.n + 1)
             at = np.flatnonzero(hi.col_of == i)
-            members = {}  # shifted key -> its eta set's sorted names
-            for j, kg in zip(hi.live[at].tolist(), (hi.key[hi.ids[at]] + 1).tolist()):
-                size = lvl.n - int(counts[kg])
-                sizes[j][k] = size
-                k_star = k - window
-                certified = (j not in certs and k_star in sizes[j]
-                             and all(sizes[j][k_star + w] == size for w in range(window)))
+            kgs = hi.key[hi.ids[at]] + 1
+            members = {}  # shifted key -> its eta set's names, sorted when read
+            for j, kg, size in zip(hi.live[at].tolist(), kgs.tolist(),
+                                   (lvl.n - counts[kgs]).tolist()):
+                sizes[j].append(size)
+                # equal sizes on levels k - window .. k, all of them seen
+                certified = j not in certs and sizes[j][-window - 1:] == [size] * (window + 1)
                 eta = None
                 if size <= member_cap or certified:
                     eta = members.get(kg)
                     if eta is None:
-                        eta = members[kg] = sorted(names_at(lvl, np.flatnonzero(kp != kg)))
+                        eta = members[kg] = SortedNames(np.flatnonzero(kp != kg), fmt)
                 per_level[j].append(LevelEta(k, size, eta if size <= member_cap else None))
                 if certified:
-                    certs[j] = (Certificate(k_star, window), eta)
+                    certs[j] = (Certificate(k - window, window), eta)
     reports = {}
     for j, nm in enumerate(names):
         if j in certs:

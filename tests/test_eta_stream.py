@@ -5,7 +5,9 @@ targets (n x D), counts roots with one bincount per target order, and checks
 coherence in n x D form.  Its reports are compared with a T x n reference
 that reads every eta set from ``kernel.roots``, as the engine did before;
 planted faults in the keys or power images of level k + 1 must raise
-``CoherenceError`` whenever the eta sets they imply disagree.
+``CoherenceError`` whenever the eta sets they imply disagree.  Member lists
+and stable sets are formatted only when read, so ``k_estimate`` formats
+none of them.
 """
 
 import importlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootsets.cli import build_tower, parse_spec
-from rootsets.kernel import roots
+from rootsets.kernel import SortedNames, roots
 from rootsets.towers import (
     Certificate,
     CoherenceError,
@@ -108,6 +110,91 @@ def test_a_name_is_read_only_up_to_its_birth_level(name, max_level, monkeypatch)
     monkeypatch.setattr(towers.Level, "ids_of", counted)
     k_estimate(tower, max_level=max_level, window=2)
     assert reads == {nm: births[nm] - tower.k0 + 1 for nm in targets}
+
+
+# ---------------------------------------------------------------------------
+# member lists are formatted when read, not before
+
+# the max levels of the k-estimate jobs of perfbench's tower-eta workload,
+# which runs them with window 2 and birth cap 4
+K_MAX_LEVEL = {"heis_t1": 6, "prufer2": 12, "quat": 10, "quot": 10, "t2": 8}
+
+
+def count_formatted(tower, max_level):
+    """From now on, count the names each of the tower's own levels formats
+    (not those its base levels format for it), by level."""
+    counts = Counter()
+    for k in range(tower.k0, max_level + 1):
+        names = tower.level(k).names
+
+        def counted(ids, real=names.format, k=k):
+            counts[k] += len(ids)
+            return real(ids)
+
+        names.format = counted
+    return counts
+
+
+def eta_lists(rep):
+    """Every member list and stable set of a KReport's eta reports."""
+    return ([pl.members for r in rep.eta_reports.values() for pl in r.per_level
+             if pl.members is not None]
+            + [r.stable_set for r in rep.eta_reports.values() if r.stable_set is not None])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_k_estimate_formats_no_member_list(name):
+    """At perfbench's flags, k-estimate formats the targets (every name of
+    the birth level), the targets the coherence check names at each level
+    above their own, and the kind's theory names: nothing more."""
+    tower = load(name)
+    max_level = K_MAX_LEVEL[name]
+    bl = min(max(4, tower.k0), max_level)
+    counts = count_formatted(tower, max_level)
+    tower.theory_names(bl)
+    theory = sum(counts.values())
+    counts.clear()
+    rep = k_estimate(tower, max_level=max_level, window=2, birth_cap=4)
+    coherence = sum(pl.level < max_level for r in rep.eta_reports.values() for pl in r.per_level)
+    assert sum(counts.values()) - (tower.level(bl).n + coherence + theory) == 0
+    lists = eta_lists(rep)
+    assert lists and all(isinstance(m, SortedNames) for m in lists)
+    assert sum(map(len, lists)) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_member_list_is_formatted_once_when_read(name):
+    tower = load(name)
+    max_level = K_MAX_LEVEL[name]
+    counts = count_formatted(tower, max_level)
+    rep = k_estimate(tower, max_level=max_level, window=2, birth_cap=4)
+    lists = {id(m): m for m in eta_lists(rep)}.values()  # targets of one subgroup share one
+    counts.clear()
+    first = [list(m) for m in lists]
+    assert sum(counts.values()) == sum(map(len, first))
+    assert all(names == sorted(names) for names in first)
+    counts.clear()
+    for m, names in zip(lists, first):
+        assert (len(m), list(m), m[:], m) == (len(names), names, names, names)
+    for r in rep.eta_reports.values():
+        r.to_json()
+    assert sum(counts.values()) == 0
+
+
+def test_sorted_names_format_once_and_drop_their_ids():
+    calls = []
+
+    def fmt(ids):
+        calls.append(ids.tolist())
+        return [f"n{i}" for i in ids.tolist()]
+
+    m = SortedNames(np.array([10, 2, 7]), fmt)
+    assert len(m) == 3 and calls == []
+    assert m == ["n10", "n2", "n7"] and list(m) == ["n10", "n2", "n7"]
+    assert (m[0], m[-1], m[1:], len(m)) == ("n10", "n7", ["n2", "n7"], 3)
+    assert m != ["n2", "n10", "n7"] and m != ("n10",) and m != 3
+    assert calls == [[10, 2, 7]]
+    assert m._ids is None and m._format is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Maps are index arrays, checked by one ``first_witness`` scan per generator,
-and a refused map keeps the witness its check found.
+"""Maps are index arrays, checked by ``first_witness`` scans over the
+generators, and a refused map keeps the witness its check found.
 
-``hom_witness`` is compared with a test-local copy of the scan it replaced,
-which took the pairs (s, x) s-major as one column and split each pair index
-with a divmod; planted single faults at block edges and under the first and
-last generator must give the same witness.
+``hom_witness`` is compared with test-local copies of the scans it
+replaced: the pair scan, which took the pairs (s, x) s-major as one column
+and split each pair index with a divmod, and the per-generator scan, one
+``first_witness`` scan over the x for each generator in turn.  Planted
+single faults at block edges, under the first and last generator and
+under the first generator of a second block of generators must give the
+same witness.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +18,17 @@ import pytest
 from rootsets.catalog import corpus, dihedral
 from rootsets.kernel import (
     BLOCK_ENTRIES,
+    NameView,
     NotBijectiveError,
     NotHomomorphicError,
+    OracleGroup,
     collision_witness,
     first_witness,
     hom_witness,
     homomorphism,
     validate_automorphism,
 )
+from rootsets.cli import build_tower, parse_spec
 from rootsets.towers import (
     ExtensionConditionsFailed,
     PruferTower,
@@ -46,6 +54,23 @@ def reference_pair_scan(source, target, f):
 
     wit = first_witness(S.size * f.size, 1, bad)
     return None if wit is None else (int(wit[0] % f.size), source.generators[wit[0] // f.size])
+
+
+def reference_generator_scan(source, target, f):
+    """The per-generator scan: one ``first_witness`` scan over the x in
+    blocks for each generator in turn, whatever the source's size; kept as
+    the reference for both of ``hom_witness``'s block shapes."""
+    if f[0] != 0:
+        return (0, 0)
+
+    def bad(s, rows):
+        x = np.arange(rows.start, rows.stop, dtype=np.int64)
+        return f[source.mul_vec(x, s)] != target.mul_vec(f[rows], f[s])
+
+    for s in source.generators:
+        if (wit := first_witness(f.size, 1, lambda rows: bad(s, rows))) is not None:
+            return wit[0], s
+    return None
 
 
 def assert_real_failure(source, target, f, witness):
@@ -142,6 +167,134 @@ def test_quat_18_to_19(quat_18_to_19, x0):
     witness = hom_witness(src, tgt, f)
     assert witness == reference_pair_scan(src, tgt, f)
     assert (witness is None) == (x0 is None)
+
+
+# ---------------------------------------------------------------------------
+# the two block shapes: |S| x n rows up to BLOCK_ENTRIES elements, then one
+# scan per generator
+
+class CountingMul:
+    """``G`` with its ``mul_vec`` calls counted."""
+
+    def __init__(self, G):
+        self.G, self.generators, self.calls = G, G.generators, 0
+
+    def mul_vec(self, a, b):
+        self.calls += 1
+        return self.G.mul_vec(a, b)
+
+
+@pytest.fixture(scope="module")
+def prufer_16_17():
+    """Prüfer levels 16 and 17: n = BLOCK_ENTRIES, the largest source
+    scanned in one block of generators, and n = 2 BLOCK_ENTRIES, scanned one
+    generator at a time."""
+    tower = PruferTower(2)
+    src, tgt = tower.level(16), tower.level(17)
+    assert (src.n, tgt.n) == (BLOCK_ENTRIES, 2 * BLOCK_ENTRIES)
+    return src, tgt, tower.embed_ids(16)
+
+
+@pytest.mark.parametrize("x0", [None, 1, BLOCK_ENTRIES // 2, BLOCK_ENTRIES - 1])
+def test_prufer_16_to_17(prufer_16_17, x0):
+    src, tgt, emb = prufer_16_17
+    f = np.array(emb)
+    if x0 is not None:
+        f[x0] = emb[(x0 + 1) % src.n]
+    witness = hom_witness(src, tgt, f)
+    assert witness == reference_generator_scan(src, tgt, f)
+    assert (witness is None) == (x0 is None)
+
+
+def cyclic_oracle(n, generators):
+    """Z/n by addition, with the generating set ``generators``."""
+    G = OracleGroup(n, NameView(n, lambda ids: [str(i) for i in ids.tolist()]),
+                    lambda a, b: (a + b) % n, lambda a: -a % n)
+    G.generators = generators
+    return G
+
+
+@pytest.mark.parametrize("n", [BLOCK_ENTRIES - 1, BLOCK_ENTRIES, BLOCK_ENTRIES + 1])
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_a_fault_on_either_side_of_one_block(n, i, at):
+    """Z/n with generators 1, 3 and 5 on both sides of n = BLOCK_ENTRIES,
+    with the product of the first, a middle or the last x and one
+    generator forged in the target."""
+    G = cyclic_oracle(n, [1, 3, 5])
+    x0 = {"first": 0, "middle": n // 2, "last": n - 1}[at]
+    f = np.arange(n, dtype=np.int64)
+    assert hom_witness(G, G, f) is None
+    s = G.generators[i]
+    target = ForgedProduct(G, x0, s)
+    assert hom_witness(G, target, f) == reference_generator_scan(G, target, f) == (x0, s)
+
+
+@pytest.fixture(scope="module")
+def z2_13():
+    """(Z/2)^13 by xor: n = 8,192, so a block of |S| x n rows holds
+    BLOCK_ENTRIES / n = 8 of its 13 generators, and the second block starts
+    at the ninth."""
+    n = 1 << 13
+    G = OracleGroup(n, NameView(n, lambda ids: [str(i) for i in ids.tolist()]),
+                    np.bitwise_xor, lambda a: a)
+    assert G.generators == [1 << i for i in range(13)]
+    return G
+
+
+@pytest.mark.parametrize("i", [0, 7, 8, 12])
+@pytest.mark.parametrize("x0", [0, 1, 4095, 8191])
+def test_a_fault_under_a_generator_at_a_row_block_edge(z2_13, i, x0):
+    """Generators 7 and 8 end the first row block and start the second."""
+    G = z2_13
+    s = G.generators[i]
+    f = np.arange(G.n, dtype=np.int64)
+    target = ForgedProduct(G, x0, s)
+    assert hom_witness(G, target, f) == reference_generator_scan(G, target, f) == (x0, s)
+
+
+def test_faults_in_both_row_blocks_name_the_first_generator(z2_13):
+    """The first failing s wins over an earlier x under a later s."""
+    G, f = z2_13, np.arange(z2_13.n, dtype=np.int64)
+    f[5] = 6  # breaks s = 1 at x = 4, and every s that reaches 5
+    witness = hom_witness(G, G, f)
+    assert witness == reference_generator_scan(G, G, f) == reference_pair_scan(G, G, f)
+    assert witness[1] == G.generators[0]
+
+
+@pytest.mark.parametrize("name, blocks", [("Heis27", 1), ("Z2^13", 2)])
+def test_a_small_source_takes_its_generators_in_blocks(z2_13, name, blocks):
+    """One product in the source and one in the target per block of
+    generators: Heis27's three are one block, where the per-generator scan
+    takes three products each side, and (Z/2)^13's thirteen are two."""
+    G = z2_13 if name == "Z2^13" else corpus()[name]
+    src, tgt = CountingMul(G), CountingMul(G)
+    assert hom_witness(src, tgt, np.arange(G.order, dtype=np.int64)) is None
+    assert (src.calls, tgt.calls) == (blocks, blocks)
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize("name", ["heis_t1", "t2"])
+def test_forged_maps_on_tower_levels(name):
+    """Levels 1..7 (from k0), each embedding with one image moved, and with
+    the product of one x and each generator forged in the target."""
+    tower = build_tower(parse_spec((SPECS / f"{name}.json").read_text(encoding="utf-8"),
+                                   SPECS), SPECS)
+    rng = np.random.default_rng(len(name))
+    for k in range(max(tower.k0, 1), 8):
+        src, tgt, emb = tower.level(k), tower.level(k + 1), tower.embed_ids(k)
+        for x0 in [1, src.n - 1] + rng.choice(src.n, size=4).tolist():
+            f = np.array(emb)
+            f[x0] = emb[(x0 + 1) % src.n]
+            witness = hom_witness(src, tgt, f)
+            assert witness is not None and witness == reference_generator_scan(src, tgt, f)
+            assert_real_failure(src, tgt, f, witness)
+            for s in src.generators:
+                target = ForgedProduct(tgt, int(emb[x0]), int(emb[s]))
+                assert hom_witness(src, target, emb) \
+                    == reference_generator_scan(src, target, emb) == (x0, s), (k, x0, s)
 
 
 # ---------------------------------------------------------------------------

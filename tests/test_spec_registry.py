@@ -2,6 +2,7 @@
 commands' handling of inputs they cannot compute on."""
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -174,6 +175,72 @@ def test_spec_integers_are_read_up_to_int64(doc, error):
         with pytest.raises(SpecError) as exc:
             parse_spec(json.dumps(doc))
         assert exc.value.errors == [error]
+
+
+def reference_int64(v):
+    """The recursive walk ``_int64`` replaced: every integer of the value,
+    lists entered depth-first, and the first outside int64 named."""
+    def ints(v):
+        if isinstance(v, list):
+            for x in v:
+                yield from ints(x)
+        elif type(v) is int:
+            yield v
+
+    wide = next((x for x in ints(v) if not -2 ** 63 <= x < 2 ** 63), None)
+    return None if wide is None else f"expected an integer in int64 range (got {wide!r})"
+
+
+def w128(cells):
+    """A 128 x 128 cocycle ``w`` of zeros, but for ``cells``: (i, j) -> entry."""
+    w = [[0] * 128 for _ in range(128)]
+    for (i, j), v in cells.items():
+        w[i][j] = v
+    return {"kind": "cocycle_extension", "base": {"kind": "cyclic", "n": 128}, "p": 2, "w": w}
+
+
+@pytest.mark.parametrize("cells, wide", [
+    ({}, None),
+    ({(0, 0): 2 ** 63 - 1, (127, 127): -2 ** 63}, None),
+    ({(127, 127): 2 ** 63}, 2 ** 63),
+    ({(127, 127): -2 ** 63 - 1}, -2 ** 63 - 1),
+    ({(5, 100): 2 ** 64, (5, 3): -2 ** 70, (6, 0): 2 ** 65}, -2 ** 70),
+    ({(5, 100): 2 ** 64, (6, 0): 2 ** 65, (4, 127): 2 ** 63 - 1}, 2 ** 64),
+], ids=["zeros", "bounds", "last-cell-above", "last-cell-below", "first-in-row",
+        "first-row-out-of-range"])
+def test_a_large_w_names_its_first_wide_entry(cells, wide):
+    """Row-major: the first row out of range, and its first wide entry."""
+    doc = w128(cells)
+    assert cli._int64(doc["w"]) == reference_int64(doc["w"])
+    if wide is None:
+        assert parse_spec(json.dumps(doc)).values
+    else:
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(doc))
+        assert exc.value.errors == [int64_error("w", wide)]
+
+
+@pytest.mark.parametrize("cells", [{(64, 64): True}, {(64, 64): True, (127, 127): 2 ** 63},
+                                   {(127, 127): False}],
+                         ids=["true", "true-and-wide", "false-in-last-cell"])
+def test_a_bool_inside_a_large_w_is_not_a_matrix_of_rows(cells):
+    """``_MATRIX`` refuses a bool before ``_int64``, whose min and max would read it as 0 or 1."""
+    with pytest.raises(SpecError) as exc:
+        parse_spec(json.dumps(w128(cells)))
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith("spec.w: expected a matrix of rows (got ")
+
+
+def test_int64_agrees_with_the_walk_it_replaced():
+    rng = random.Random(64)
+    for _ in range(200):
+        cells = {(rng.randrange(128), rng.randrange(128)):
+                 rng.choice([2 ** 63, -2 ** 63 - 1, 10 ** 30, 2 ** 63 - 1, -2 ** 63, 7])
+                 for _ in range(rng.randrange(4))}
+        w = w128(cells)["w"]
+        assert cli._int64(w) == reference_int64(w), cells
+    for v in [0, -1, 2 ** 63, -2 ** 63 - 1, "x", ["a", "b"], [], [[]], {"0": ["0", "1/2"]}]:
+        assert cli._int64(v) == reference_int64(v), v
 
 
 def test_nested_unknown_kind_reports_both_errors():
