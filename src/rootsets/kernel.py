@@ -143,12 +143,13 @@ class OracleGroup:
 
     Algorithms see only ``mul_vec`` and ``inv_vec`` on index arrays, element 0
     being the identity (black-box groups, Babai & Szemeredi, FOCS 1984).
-    ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays of one
-    shape; without it, powers are taken by binary exponentiation.  So too
-    ``order_vec`` for element orders, else found by ``element_orders``, and
-    ``ids_of`` for reading names as ids, else from a name dict.  Tables,
-    tower levels, subgroups, quotients and the deeper tree groups are all of
-    this kind; ``group()`` materializes one as a validated Cayley table.
+    ``pow_vec(x, e)``, when given, is a closed form for x^e on arrays that
+    broadcast together; without it, powers are taken by binary
+    exponentiation.  So too ``order_vec`` for element orders, else found by
+    ``element_orders``, and ``ids_of`` for reading names as ids, else from
+    a name dict.  Tables, tower levels, subgroups, quotients and the deeper
+    tree groups are all of this kind; ``group()`` materializes one as a
+    validated Cayley table.
     """
 
     identity = 0
@@ -222,14 +223,18 @@ class OracleGroup:
     def pow_vec(self, x, e):
         """x^e for index arrays x and exponents e >= 0 that broadcast together.
 
-        Scalars x and e give a 0-d array, never a numpy scalar, so a closed
-        form may assign into its base level's powers, and ``int(G.pow_vec(g,
-        m))`` is g^m.
+        A closed form gets x and e as int64 arrays at their own shapes, not
+        broadcast, and returns their broadcast shape: numpy's ufuncs
+        broadcast as they go, so a term of x alone, such as its coordinates,
+        is computed once per element, not once per (element, exponent)
+        pair.  Scalars x and e give a writable 0-d array, never a numpy
+        scalar, so a closed form may assign into its base level's powers,
+        and ``int(G.pow_vec(g, m))`` is g^m.
         """
         if self._pow_vec is None:
             return binary_power_vec(self, x, e)
-        x, e = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64))
-        return np.asarray(self._pow_vec(x, e))
+        return np.asarray(self._pow_vec(np.asarray(x, dtype=np.int64),
+                                        np.asarray(e, dtype=np.int64)))
 
     def mul(self, a, b):
         return int(self.mul_vec(self.check_element(a), self.check_element(b)))
@@ -405,51 +410,70 @@ def element_orders(G):
 def _cyclic_keys(G, targets):
     """key[x] = least generator of <x>, for x in a target's cyclic subgroup, else -1.
 
-    Subgroups are listed largest order first, in blocks of one order d and
-    about BLOCK_ENTRIES powers; a target that an earlier block reached is
-    skipped.
+    The identity is its own subgroup's generator.  The other subgroups are
+    listed largest order first, in blocks of targets g of one order d,
+    powered at 1 .. d - 1; a target that an earlier block reached is
+    skipped.  The first block of an order holds about BLOCK_ENTRIES >> 6
+    powers, and each later block of the same order twice as many targets,
+    up to about BLOCK_ENTRIES powers.  Targets of one order often share a
+    few cyclic subgroups, so a small first block reaches most of them, and
+    each subgroup is powered about once; where they do not, the blocks grow
+    to full size in six steps.
     """
     orders = G.orders
     key = np.full(orders.size, -1, dtype=np.int64)
     todo = targets[np.argsort(-orders[targets], kind="stable")]
+    if targets.size:
+        key[0] = 0  # the identity lies in every cyclic subgroup, and generates its own
+    d = 0
     while (todo := todo[key[todo] < 0]).size:
-        d = int(orders[todo[0]])
-        block = todo[orders[todo] == d][:max(1, BLOCK_ENTRIES // d)]
-        P = G.pow_vec(block[:, None], np.arange(d))
-        # g^j and g^k generate the same subgroup of <g> iff gcd(j, d) = gcd(k, d)
-        cls = np.gcd(np.arange(d), d)
-        for c in np.unique(cls).tolist():
-            gens = P[:, cls == c]
+        if orders[todo[0]] != d:  # the first block of order d
+            d = int(orders[todo[0]])
+            # g^j and g^k generate the same subgroup of <g> iff gcd(j, d) = gcd(k, d)
+            cls = np.gcd(np.arange(1, d), d)
+            classes = [np.flatnonzero(cls == c) for c in np.unique(cls).tolist()]
+            size, cap = max(1, (BLOCK_ENTRIES >> 6) // d), max(1, BLOCK_ENTRIES // d)
+        block = todo[:size]  # the targets of order d lead todo
+        P = G.pow_vec(block[orders[block] == d, None], np.arange(1, d))
+        for c in classes:
+            gens = P[:, c]
             key[gens] = gens.min(axis=1, keepdims=True)
+        size = min(2 * size, cap)
     return key
 
 
-def root_images(G, targets):
+def root_images(G, targets, rows=None):
     """The data every roots question over ``targets`` is read from: (ds, col_of, key, P).
 
     ``ds`` holds the distinct target orders, and targets[j] has order
-    ds[col_of[j]].  ``key`` is ``_cyclic_keys``.  P is the n x D matrix whose
-    column i holds h^(ord h / ds[i]) where ds[i] divides ord h, and the
-    identity elsewhere.  g lies in <h> iff d = ord g divides ord h and
-    h^(ord h / d) generates <g>, so targets[j] lies in <h> iff
-    key[P[h, col_of[j]]] == key[targets[j]]; the identity's key 0 matches
-    only the identity's.  P is filled in row blocks of about BLOCK_ENTRIES
-    entries, so the closed forms' temporaries stay about that size.
+    ds[col_of[j]].  ``key`` is ``_cyclic_keys``.  P is the matrix whose row
+    i holds, for h = rows[i] (every element by default), h^(ord h / ds[c])
+    in column c where ds[c] divides ord h, and the identity elsewhere.  g
+    lies in <h> iff d = ord g divides ord h and h^(ord h / d) generates
+    <g>, so targets[j] lies in <h> iff key[P[i, col_of[j]]] ==
+    key[targets[j]]; the identity's key 0 matches only the identity's.  P
+    is filled in row blocks of about BLOCK_ENTRIES entries, and each
+    block's h is a column, so a closed form computes its terms of h once
+    per row and its temporaries stay about that size.
     """
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     orders = G.orders
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     ds, col_of = np.unique(orders[targets], return_inverse=True)
     key = _cyclic_keys(G, targets)
-    blocks = _row_blocks(orders.size, ds.size)
-    P = None if len(blocks) == 1 else np.empty((orders.size, ds.size), dtype=np.int64)
-    for rows in blocks:
-        h = np.arange(rows.start, rows.stop)[:, None]
+    size = orders.size if rows is None else rows.size
+    blocks = _row_blocks(size, ds.size)
+    P = None if len(blocks) == 1 else np.empty((size, ds.size), dtype=np.int64)
+    for block_rows in blocks:
+        # every element's rows are made a block at a time, not as one n-array
+        h = (np.arange(block_rows.start, block_rows.stop) if rows is None else rows[block_rows])[:, None]
         e, rem = np.divmod(orders[h], ds)
         block = G.pow_vec(h, np.where(rem == 0, e % orders[h], 0))
         if P is None:
             P = block  # a single block is P itself, not a copy
         else:
-            P[rows] = block
+            P[block_rows] = block
     return ds, col_of, key, P
 
 
@@ -471,12 +495,22 @@ def roots(G, targets):
 
 def coset_orders(G, g, N):
     """ord(gN), the least e >= 1 with g^e in the subgroup N, for each g of
-    the index array ``g``: ord(g) / m, m the number of members of N in <g>
-    (``roots``), as they form the subgroup of order m of the cyclic <g>
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
-    A member listed twice is counted once.
+    the index array ``g``: ord(g) / m, m the number of members of N in <g>,
+    as they form the subgroup of order m of the cyclic <g> (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005).  A member
+    listed twice is counted once.  m is read from ``root_images`` with the
+    members of N as targets and only the rows g: a member of order d lies
+    in <g> iff it shares the key of g^(ord g / d), so m sums, over the
+    columns, the number of members holding that power's key.
     """
-    return G.orders[g] // np.count_nonzero(roots(G, np.unique(_indices(G, N)))[g], axis=-1)
+    N = np.unique(_indices(G, N))
+    g = np.asarray(g, dtype=np.int64)
+    ds, col_of, key, P = root_images(G, N, g)
+    m = np.zeros(P.shape[0], dtype=np.int64)
+    for i in range(ds.size):
+        held = np.bincount(key[N[col_of == i]] + 1, minlength=key.size + 1)
+        m += held[key[P[:, i]] + 1]
+    return G.orders[g] // m.reshape(g.shape)
 
 
 def order_of(G, g):

@@ -460,14 +460,14 @@ class T2Tower(Tower):
             return e * nb + np.where(e == 1, twisted, plain)
 
         def pow_vec(a, e):
-            # (x g)^e = ((x g)^2)^(e // 2) (x g)^(e % 2), and (x g)^2 lies in the base
+            # (x g)^e = ((x g)^2)^(e // 2) (x g)^(e % 2), and (x g)^2 lies in
+            # the base; each x g is squared once, at a's shape
             coset = a >= nb
-            g, half = a.copy(), e.copy()
+            g = a.copy()
             g[coset] = mul_vec(a[coset], a[coset])
-            half[coset] //= 2
-            out = blvl.pow_vec(g, half)
-            tail = coset & (e % 2 == 1)
-            out[tail] = mul_vec(out[tail], a[tail])
+            out = blvl.pow_vec(g, np.where(coset, e >> 1, e))
+            tail = coset & (e & 1 == 1)
+            out[tail] = mul_vec(out[tail], np.broadcast_to(a, tail.shape)[tail])
             return out
 
         def order_vec(a):
@@ -583,9 +583,10 @@ class QuaternionTower(Tower):
 
         def pow_vec(a, e):
             # c^e = e m on C; every x c^m squares to the involution half, so
-            # its powers run x c^m, half, x c^(m + half), 1 with period 4
+            # (x c^m)^e = x^(e % 2) c^((e % 2) m + (e // 2 % 2) half)
             e1, m = np.divmod(a, ck)
-            coset = np.choose(e % 4, (0, a, half, ck + (m + half) % ck))
+            odd = e & 1
+            coset = odd * ck + (odd * m + (e >> 1 & 1) * half) % ck
             return np.where(e1 == 1, coset, m * (e % ck) % ck)
 
         def order_vec(a):
@@ -708,22 +709,44 @@ class _LevelRoots:
     """One level of the eta stream: its live targets and their ``root_images``."""
 
     level: Level
-    live: np.ndarray  # positions, in the engine's name list, of the names present
+    live: np.ndarray  # positions, in the engine's name list, of the targets present
     ids: np.ndarray   # their element ids at this level
     ds: np.ndarray
     col_of: np.ndarray
     key: np.ndarray
     P: np.ndarray
 
-    @classmethod
-    def of(cls, lvl, names, ids):
-        """``ids`` holds the ids already known, -1 elsewhere; only the names
-        at -1 are read, and it is filled in place."""
-        unread = np.flatnonzero(ids < 0)
-        if unread.size:
-            ids[unread] = lvl.ids_of([names[j] for j in unread.tolist()])
-        live = np.flatnonzero(ids >= 0)
-        return cls(lvl, live, ids[live], *root_images(lvl, ids[live]))
+
+def _targets_below(tower, bl, names):
+    """The targets of ``k_estimate`` at each level k0 <= k <= bl, by id.
+
+    The targets are the elements of level bl, and ``names`` lists their
+    names in id order.  Level k's element x is target pos[k][x] =
+    emb_(k->bl)(x), the composite of the validated embeddings: pos[bl] is
+    the identity map and pos[k] = pos[k + 1][emb_k].  No name is parsed.
+
+    The embeddings are validated before anything else is checked.  Then
+    each element x born at a level k < bl (every element of k0, and above
+    it those outside emb_(k-1)'s image) has its name formatted once, at k,
+    and it must be names[pos[k][x]]; an element born at bl is its own
+    target.  Level bl's names are unique, so an embedding that keeps the
+    group law but not the names, emb_k = sigma emb with sigma an
+    automorphism of level k + 1 that moves some emb(y), fails at the birth
+    level of y's first ancestor: its name is that of emb(y) at bl, not of
+    sigma emb(y).
+    """
+    k0 = tower.k0
+    pos = {bl: np.arange(len(names), dtype=np.int64)}
+    for k in range(bl - 1, k0 - 1, -1):
+        pos[k] = pos[k + 1][tower.embed_ids(k)]
+    for k in range(k0, bl):
+        born = np.ones(pos[k].size, dtype=bool)
+        if k > k0:
+            born[tower.embed_ids(k - 1)] = False
+        born = np.flatnonzero(born)
+        if names_at(tower.level(k), born) != [names[j] for j in pos[k][born].tolist()]:
+            raise CoherenceError(f"eta at level {k} disagrees with its restriction from level {bl}")
+    return pos
 
 
 def _keys_inject(a, b, nb):
@@ -758,10 +781,13 @@ def _check_coherence(k, emb, lo, hi, names):
     key_k(P_k[h, d]) = key_k(g_k), holds iff key_(k+1)(emb P_k[h, d]) =
     key_(k+1)(emb g_k), which is g_(k+1) in <emb h>.  An injective
     homomorphism that keeps names satisfies all four on correct root images.
+    With ``names`` None, (0) is skipped: below ``k_estimate``'s birth level
+    ``_targets_below`` has checked the names.
     """
     if not lo.live.size:
         return
-    ok = (names_at(hi.level, emb[lo.ids]) == [names[j] for j in lo.live.tolist()]
+    ok = ((names is None
+           or names_at(hi.level, emb[lo.ids]) == [names[j] for j in lo.live.tolist()])
           and np.array_equal(hi.level.orders[emb], lo.level.orders))
     if ok:
         _, i_lo, i_hi = np.intersect1d(lo.ds, hi.ds, assume_unique=True, return_indices=True)
@@ -771,7 +797,7 @@ def _check_coherence(k, emb, lo, hi, names):
             f"eta at level {k} disagrees with its restriction from level {k + 1}")
 
 
-def _eta_engine(tower, names, max_level, window, member_cap):
+def _eta_engine(tower, names, max_level, window, member_cap, bl=None):
     """Per-level eta for the named elements, with coherence checks, streamed by levels.
 
     eta(g) is the complement of the roots of g.  A level is held as
@@ -783,10 +809,14 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     formats none.  The root images of only two levels, k and k + 1, are
     held at once: after ``_check_coherence`` and equal sizes, the eta sets
     of a window agree by name, so a certificate's stable set is read at the
-    last level of its window.  A name is read once, at the first level
-    where it names an element; above that its id is carried along the
-    validated embedding, and ``_check_coherence`` checks that the carried
-    id keeps the name.
+    last level of its window.
+
+    Targets are read in one of two ways.  Given ``bl``, ``names`` are the
+    names of level bl in id order, and up to bl the targets are read by id
+    (``_targets_below``): no name is parsed.  Otherwise a name is read
+    once, at the first level where it names an element.  Above that level,
+    or above bl, a target's id is carried along the validated embedding,
+    and ``_check_coherence`` checks that the carried id keeps the name.
     """
     if window < 1:
         raise TowerError(f"window must be >= 1, got {window}")
@@ -795,6 +825,7 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     # every level is built before any is embedded, so a level that fails to
     # build is reported ahead of an embedding fault below it
     levels = [tower.level(k) for k in range(k0, max_level + 1)]
+    below = {} if bl is None else _targets_below(tower, bl, names)
     # |eta(names[j])| at each level from the first where names[j] is live;
     # its id is carried up from there, so it is live at every level above
     sizes = [[] for _ in names]
@@ -802,14 +833,21 @@ def _eta_engine(tower, names, max_level, window, member_cap):
     certs = {}  # j -> (certificate, stable set)
     lo = None
     for k, lvl in enumerate(levels, k0):
-        ids = np.full(len(names), -1, dtype=np.int64)
-        if lo is None:
-            hi = _LevelRoots.of(lvl, names, ids)
+        emb = None if lo is None else tower.embed_ids(k - 1)
+        if k in below:
+            live, ids = below[k], np.arange(lvl.n, dtype=np.int64)
         else:
-            emb = tower.embed_ids(k - 1)
-            ids[lo.live] = emb[lo.ids]
-            hi = _LevelRoots.of(lvl, names, ids)
-            _check_coherence(k - 1, emb, lo, hi, names)
+            ids = np.full(len(names), -1, dtype=np.int64)
+            if lo is not None:
+                ids[lo.live] = emb[lo.ids]
+            unread = np.flatnonzero(ids < 0)
+            if unread.size:
+                ids[unread] = lvl.ids_of([names[j] for j in unread.tolist()])
+            live = np.flatnonzero(ids >= 0)
+            ids = ids[live]
+        hi = _LevelRoots(lvl, live, ids, *root_images(lvl, ids))
+        if lo is not None:
+            _check_coherence(k - 1, emb, lo, hi, None if k in below else names)
         lo = hi
         fmt = partial(names_at, lvl)
         for i in range(hi.ds.size):
@@ -882,7 +920,7 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     """
     bl = min(max(birth_cap, tower.k0), max_level)
     targets = list(tower.level(bl).names)
-    reports = _eta_engine(tower, targets, max_level, window, member_cap)
+    reports = _eta_engine(tower, targets, max_level, window, member_cap, bl)
     members, growing, undetermined = [], [], []
     for nm in targets:
         rep = reports[nm]

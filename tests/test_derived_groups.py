@@ -120,6 +120,41 @@ def test_coset_orders_count_each_member_of_n_once():
         assert str(exc.value) == f"not closed: {pair}", N
 
 
+def coset_orders_by_roots(G, g, N):
+    """ord(gN) read from the roots matrix of every element of G, at the rows g."""
+    return G.orders[g] // np.count_nonzero(kernel.roots(G, np.unique(N))[g], axis=-1)
+
+
+def test_coset_orders_power_only_the_rows_asked_for(monkeypatch):
+    """On every quot level up to 2^15 elements: the coset reps, every
+    element, and drawn ids with repeats, against the roots matrix of the
+    whole base level; the power images are computed for the rows asked for."""
+    tower = load("quot")
+    rng = np.random.default_rng(15)
+    shapes = []
+    real = kernel.root_images
+
+    def recorded(G, targets, rows=None):
+        out = real(G, targets, rows)
+        shapes.append((G.n if rows is None else np.size(rows), out[3].shape[0]))
+        return out
+
+    k = tower.k0
+    while (lvl := tower.level(k)).n <= 2 ** 15:
+        G, N = tower.base.level(k), np.flatnonzero(tower.level(k).projection == 0)
+        drawn = rng.integers(0, G.n, size=300)
+        monkeypatch.setattr(kernel, "root_images", recorded)
+        for g in (lvl.reps, np.arange(G.n), drawn, drawn[:1]):
+            shapes.clear()
+            got = coset_orders(G, g, N)
+            assert shapes == [(g.size, g.size)], k
+            assert np.array_equal(got, coset_orders_by_roots(G, g, N)), k
+        monkeypatch.undo()
+        assert np.array_equal(lvl.orders, coset_orders_by_roots(G, lvl.reps, N)), k
+        k += 1
+    assert k - tower.k0 >= 12
+
+
 # ---------------------------------------------------------------------------
 # derived groups take their parent's orders, never descent
 

@@ -301,6 +301,30 @@ def test_an_image_moved_by_an_automorphism_is_refused_by_coherence(name, monkeyp
         k_estimate(tower, max_level=k + 1, birth_cap=k)
 
 
+@pytest.mark.parametrize("name", TOWERS)
+def test_an_image_moved_by_an_automorphism_below_the_birth_level_is_refused(name, monkeypatch):
+    """Below k-estimate's birth level no name is parsed: a target is read
+    along the embeddings, and each element's name is checked once, at the
+    level where it is born.  An automorphism of level k + 1 composed into
+    emb_k moves some image, and that image's first ancestor fails there."""
+    tower = load(name)
+    k, bl = tower.k0 + 1, tower.k0 + 2
+    phi = automorphism(tower.level(k + 1))
+    true = tower.embed_vec
+    emb = true(k, np.arange(tower.level(k).n))
+    assert not np.array_equal(phi[emb], emb)  # it moves a name the embedding keeps
+
+    def forged(j, ids):
+        out = true(j, ids)
+        return phi[out] if j == k else out
+
+    monkeypatch.setattr(tower, "embed_vec", forged)
+    tower.embed_ids(k)  # passes: injective, and a homomorphism
+    with pytest.raises(CoherenceError, match=rf"^eta at level ({tower.k0}|{k}) disagrees "
+                                             rf"with its restriction from level {bl}$"):
+        k_estimate(tower, max_level=bl + 1, birth_cap=bl)
+
+
 def test_an_image_out_of_range_is_refused(monkeypatch):
     tower = PruferTower(2)
     monkeypatch.setattr(tower, "embed_vec", lambda k, ids: ids * 2 - 1)

@@ -4,7 +4,10 @@ Every tower kind gives its levels a ``pow_vec``: e m mod p^k on Prüfer
 levels, the power table of H on central amalgams, a period-4 pattern on the
 quaternion x-coset, ((x g)^2)^(e // 2) (x g)^(e % 2) on inverting
 extensions, and the base power of the coset reps on quotients.  The
-reference here squares and multiplies with the level's own ``mul_vec``.
+reference here squares and multiplies with the level's own ``mul_vec``; on
+every level, x is squared once and each exponent array reads the same
+squares.  A closed form gets x and e unbroadcast and must return their
+broadcast shape.
 """
 
 from pathlib import Path
@@ -57,6 +60,26 @@ def binary_power(lvl, x, e):
     return out
 
 
+def squarings(lvl, x, bits):
+    """x^(2^i) for i < bits, by squaring with lvl.mul_vec."""
+    out = [np.asarray(x, dtype=np.int64)]
+    while len(out) < bits:
+        out.append(lvl.mul_vec(out[-1], out[-1]))
+    return out
+
+
+def power_from_squarings(lvl, squares, e):
+    """x^e as binary_power takes it, one bit of e at a time, from the
+    squarings of x (``squarings``), which several exponents share."""
+    e = np.asarray(e, dtype=np.int64)
+    bits = int(e.max(initial=0)).bit_length()
+    assert bits <= len(squares)
+    out = np.zeros(np.broadcast_shapes(squares[0].shape, e.shape), dtype=np.int64)
+    for i, base in enumerate(squares[:bits]):
+        out = np.where((e >> i) & 1 == 1, lvl.mul_vec(out, base), out)
+    return out
+
+
 def test_the_bundled_towers_are_the_five_kinds():
     assert sorted(TOWER_SPECS) == ["heis_t1", "prufer2", "quat", "quot", "t2"]
 
@@ -69,15 +92,58 @@ def test_pow_vec_matches_binary_powers_on_every_level(name):
         if lvl.n > MAX_ORDER:
             break
         x = np.arange(lvl.n, dtype=np.int64)
+        # x squared once, up to the highest bit of any exponent below
+        squares = squarings(lvl, x, max(3 * lvl.n + 1, 81).bit_length())
         # multiples of the order, one past them, and a spread over 0 .. 3n + 1
         for e in (lvl.orders, lvl.orders + 1, x * 7919 % (3 * lvl.n + 2)):
-            assert np.array_equal(lvl.pow_vec(x, e), binary_power(lvl, x, e)), (name, k)
+            assert np.array_equal(lvl.pow_vec(x, e), power_from_squarings(lvl, squares, e)), (name, k)
         # (n, 1) against (D,), as root_images asks
         e = np.array([0, 1, 2, 3, 8, 81])
-        assert np.array_equal(lvl.pow_vec(x[:, None], e), binary_power(lvl, x[:, None], e))
+        assert np.array_equal(lvl.pow_vec(x[:, None], e),
+                              power_from_squarings(lvl, [s[:, None] for s in squares], e))
         if 2 * lvl.n > MAX_ORDER:  # levels at least double: the next one is out of range
             break
     assert k > t.k0 + 3
+
+
+def shape_groups():
+    """Two levels of every bundled tower, and a quotient of a tower level,
+    derived from its closed form."""
+    for name in sorted(TOWER_SPECS):
+        t = tower(name)
+        for k in (t.k0, t.k0 + 3):
+            yield f"{name}-{k}", t.level(k)
+    quat = tower("quat").level(5)
+    yield "Q64/Z2", quotient(quat, closure(quat, [quat.id_of("1/2")]))[0]
+
+
+SHAPE_GROUPS = dict(shape_groups())
+
+
+@pytest.mark.parametrize("name", list(SHAPE_GROUPS))
+def test_pow_vec_broadcasts_operands_of_their_own_shapes(name):
+    """A closed form gets x and e unbroadcast and returns their broadcast
+    shape: (n, 1) against (D,) and (n, D) as root_images asks, (B, 1)
+    against (d,) as _cyclic_keys asks, and a scalar on either side."""
+    G = SHAPE_GROUPS[name]
+    rng = np.random.default_rng(G.n)
+    x = np.arange(G.n, dtype=np.int64)
+    ds = np.unique(G.orders)
+    per_row = np.where(G.orders[:, None] % ds == 0, G.orders[:, None] // ds, 0)
+    block = rng.permutation(G.n)[:7, None]
+    cases = [(x[:, None], ds), (x[:, None], per_row), (block, np.arange(1, int(ds[-1]))),
+             (block, ds[::-1]), (3 % G.n, rng.integers(0, 4 * G.n, 9)),
+             (x, 5), (x[::-1], np.int64(2 * G.n + 1)), (x[:, None, None], ds[None, :, None])]
+    for xs, e in cases:
+        got = G.pow_vec(xs, e)
+        assert got.shape == np.broadcast_shapes(np.shape(xs), np.shape(e)), (name, got.shape)
+        assert np.array_equal(got, binary_power(G, xs, e)), name
+    for g in (0, G.n - 1, G.n // 2):
+        for m in (0, 1, int(G.orders[g]) + 1):
+            got = G.pow_vec(g, m)
+            assert got.ndim == 0 and got.flags.writeable, (name, g, m)
+            assert int(got) == int(binary_power(G, g, m))
+            got[()] = 0  # a closed form may assign into its base level's powers
 
 
 LEVELS = {name: [tower(name).level(k) for k in ks]

@@ -5,7 +5,8 @@ g in <h> by one power of h per distinct target order.  The reference here
 walks the powers of every element one product at a time, which is what the
 engine replaced.  Closure and the greedy generating set also step by the
 squares of the generators; the reference for them is the plain search by
-right products.
+right products.  The cyclic keys, found in blocks that start small and
+double, are compared with the full-size blocks they replaced.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rootsets import kernel
 from rootsets.catalog import cyclic, dihedral, generalized_quaternion, symmetric
 from rootsets.cli import build_tower, parse_spec
 from rootsets.constructions import tree_vw_group
@@ -253,3 +255,108 @@ def test_prufer_names_match_prufer_name():
         for k in range(top):
             m = np.arange(p ** k)
             assert prufer_fractions(m, p ** k) == [str(Fraction(x, p ** k)) for x in m.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# cyclic keys: blocks that start small and double
+
+
+def keys_in_full_blocks(G, targets):
+    """The cyclic keys as they were found before blocks grew: every block of
+    order d takes up to BLOCK_ENTRIES // d targets, powered at 0 .. d - 1."""
+    orders = G.orders
+    key = np.full(orders.size, -1, dtype=np.int64)
+    todo = targets[np.argsort(-orders[targets], kind="stable")]
+    while (todo := todo[key[todo] < 0]).size:
+        d = int(orders[todo[0]])
+        block = todo[orders[todo] == d][:max(1, kernel.BLOCK_ENTRIES // d)]
+        P = G.pow_vec(block[:, None], np.arange(d))
+        cls = np.gcd(np.arange(d), d)
+        for c in np.unique(cls).tolist():
+            gens = P[:, cls == c]
+            key[gens] = gens.min(axis=1, keepdims=True)
+    return key
+
+
+def most_blocks(orders):
+    """The most blocks the keys of targets of these orders can take: at
+    each order d > 1, as many growing blocks as its targets fill."""
+    total = 0
+    for d, t in zip(*np.unique(orders[orders > 1], return_counts=True)):
+        size, cap = max(1, (kernel.BLOCK_ENTRIES >> 6) // d), max(1, kernel.BLOCK_ENTRIES // d)
+        while t > 0:
+            t, size, total = t - size, min(2 * size, cap), total + 1
+    return total
+
+
+def xor_group(r):
+    """(Z/2)^r as an oracle with no closed forms."""
+    n = 2 ** r
+    return OracleGroup(n, [str(i) for i in range(n)], np.bitwise_xor, lambda a: a)
+
+
+def digit_group(p, r):
+    """(Z/p)^r on base-p digits, as an oracle with no closed forms."""
+    w = p ** np.arange(r)
+    digits = lambda a: a[..., None] // w % p
+    return OracleGroup(p ** r, [str(i) for i in range(p ** r)],
+                       lambda a, b: ((digits(a) + digits(b)) % p * w).sum(-1),
+                       lambda a: ((-digits(a)) % p * w).sum(-1))
+
+
+def cyclic_oracle(n):
+    return OracleGroup(n, [str(i) for i in range(n)], lambda a, b: (a + b) % n, lambda a: (-a) % n)
+
+
+def key_groups():
+    for name in sorted(TOWER_MAX_LEVEL):
+        tower = build_tower(parse_spec((SPECS / f"{name}.json").read_text()), SPECS)
+        k = tower.k0
+        while (lvl := tower.level(k)).n <= 2 ** 15:
+            yield f"{name}-{k}", lvl
+            k += 1
+    yield "Z4096", cyclic_oracle(4096)
+    yield "Z2^12", xor_group(12)
+    yield "Z3^8", digit_group(3, 8)
+    yield "Q512", generalized_quaternion(512)
+
+
+def counting_powers(G, monkeypatch):
+    """Record the broadcast shape of every ``pow_vec`` call on G."""
+    G.orders  # descended first, where a group has no closed form
+    shapes = []
+    real = G.pow_vec
+
+    def counted(x, e):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(e)))
+        return real(x, e)
+
+    monkeypatch.setattr(G, "pow_vec", counted, raising=False)
+    return shapes
+
+
+def test_growing_key_blocks_give_the_keys_of_full_blocks(monkeypatch):
+    rng = np.random.default_rng(4096)
+    seen = []
+    for name, G in key_groups():
+        for targets in (np.arange(G.n, dtype=np.int64), rng.permutation(G.n)[: G.n // 3],
+                        np.array([G.n - 1, 0, G.n - 1])):
+            shapes = counting_powers(G, monkeypatch)
+            key = kernel._cyclic_keys(G, targets)
+            monkeypatch.undo()
+            assert np.array_equal(key, keys_in_full_blocks(G, targets)), name
+            assert len(shapes) <= most_blocks(G.orders[np.unique(targets)]), name
+        seen.append(name)
+    assert len(seen) > 40
+
+
+@pytest.mark.parametrize("G,shapes", [(cyclic_oracle(4096), [(1, 4095)]),
+                                      (generalized_quaternion(512), [(4, 255), (256, 3)])],
+                         ids=["Z4096", "Q512"])
+def test_each_cyclic_subgroup_is_powered_about_once(G, shapes, monkeypatch):
+    """Z4096 is one cyclic subgroup; Q512 is <a> of order 256, then 128
+    subgroups of order 4 outside it.  Full blocks took 16 x 4096 and 128 x
+    256 + 256 x 4 powers."""
+    got = counting_powers(G, monkeypatch)
+    kernel._cyclic_keys(G, np.arange(G.n, dtype=np.int64))
+    assert got == shapes
