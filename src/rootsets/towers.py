@@ -212,9 +212,9 @@ class Tower:
         at every level, so emb(g N_k) = emb(g) N_(k+1) has the same member
         names, and the same least name.  Exactness does not rest on this
         argument.  The map is checked to be injective and, exactly, by
-        generators S_k of level k, a homomorphism; and ``_check_coherence``
-        checks the image of every target against the id its name parses
-        to at level k + 1.  A refusal carries its witness in ids:
+        generators S_k of level k, a homomorphism; and the eta engine
+        checks that it keeps its targets' names (``_targets_below``,
+        ``_check_coherence``).  A refusal carries its witness in ids:
         ``collision_witness``'s first colliding pair (x, y), x < y, or
         ``hom_witness``'s (x, s).
 
@@ -709,7 +709,7 @@ class _LevelRoots:
     """One level of the eta stream: its live targets and their ``root_images``."""
 
     level: Level
-    live: np.ndarray  # positions, in the engine's name list, of the targets present
+    live: np.ndarray  # positions, in the engine's ``ids``, of the targets present
     ids: np.ndarray   # their element ids at this level
     ds: np.ndarray
     col_of: np.ndarray
@@ -717,30 +717,28 @@ class _LevelRoots:
     P: np.ndarray
 
 
-def _targets_below(tower, bl, names):
-    """The targets of ``k_estimate`` at each level k0 <= k <= bl, by id.
-
-    The targets are the elements of level bl, and ``names`` lists their
-    names in id order.  Level k's element x is target pos[k][x] =
-    emb_(k->bl)(x), the composite of the validated embeddings: pos[bl] is
-    the identity map and pos[k] = pos[k + 1][emb_k].  No name is parsed.
+def _targets_below(tower, bl, ids, names):
+    """The targets at each level k0 <= k <= bl: pos[k][x] is the index in
+    ``ids``, elements of level bl named ``names``, of emb_(k->bl)(x), read
+    along the validated embeddings, or -1 where that is no target.  pos[bl]
+    holds each target's index at its id, and pos[k] = pos[k + 1][emb_k].
 
     The embeddings are validated before anything else is checked.  Then
-    each element x born at a level k < bl (every element of k0, and above
-    it those outside emb_(k-1)'s image) has its name formatted once, at k,
-    and it must be names[pos[k][x]]; an element born at bl is its own
-    target.  Level bl's names are unique, so an embedding that keeps the
-    group law but not the names, emb_k = sigma emb with sigma an
-    automorphism of level k + 1 that moves some emb(y), fails at the birth
-    level of y's first ancestor: its name is that of emb(y) at bl, not of
-    sigma emb(y).
+    each x with pos[k][x] >= 0 that is born at a level k < bl (at k0, or
+    outside emb_(k-1)'s image) has its name formatted once, at k, and it
+    must be names[pos[k][x]].  No name is parsed.  Level bl's names are
+    unique, so an embedding emb_k = sigma emb, with sigma an automorphism
+    of level k + 1 that moves some emb(y) onto a target, fails at the birth
+    level of y's first ancestor, whose name is that of emb(y).  A target
+    born at bl reaches a lower level only through such an embedding.
     """
     k0 = tower.k0
-    pos = {bl: np.arange(len(names), dtype=np.int64)}
+    pos = {bl: np.full(tower.level(bl).n, -1, dtype=np.int64)}
+    pos[bl][ids] = np.arange(len(ids))
     for k in range(bl - 1, k0 - 1, -1):
         pos[k] = pos[k + 1][tower.embed_ids(k)]
     for k in range(k0, bl):
-        born = np.ones(pos[k].size, dtype=bool)
+        born = pos[k] >= 0
         if k > k0:
             born[tower.embed_ids(k - 1)] = False
         born = np.flatnonzero(born)
@@ -781,7 +779,7 @@ def _check_coherence(k, emb, lo, hi, names):
     key_k(P_k[h, d]) = key_k(g_k), holds iff key_(k+1)(emb P_k[h, d]) =
     key_(k+1)(emb g_k), which is g_(k+1) in <emb h>.  An injective
     homomorphism that keeps names satisfies all four on correct root images.
-    With ``names`` None, (0) is skipped: below ``k_estimate``'s birth level
+    With ``names`` None, (0) is skipped: up to the engine's level bl,
     ``_targets_below`` has checked the names.
     """
     if not lo.live.size:
@@ -797,8 +795,9 @@ def _check_coherence(k, emb, lo, hi, names):
             f"eta at level {k} disagrees with its restriction from level {k + 1}")
 
 
-def _eta_engine(tower, names, max_level, window, member_cap, bl=None):
-    """Per-level eta for the named elements, with coherence checks, streamed by levels.
+def _eta_engine(tower, bl, ids, max_level, window, member_cap):
+    """Per-level eta for the elements ``ids`` of level bl, with coherence
+    checks, streamed by levels, as reports keyed by name in ``ids`` order.
 
     eta(g) is the complement of the roots of g.  A level is held as
     ``root_images`` of its targets, n x D with D distinct target orders, so
@@ -811,21 +810,19 @@ def _eta_engine(tower, names, max_level, window, member_cap, bl=None):
     of a window agree by name, so a certificate's stable set is read at the
     last level of its window.
 
-    Targets are read in one of two ways.  Given ``bl``, ``names`` are the
-    names of level bl in id order, and up to bl the targets are read by id
-    (``_targets_below``): no name is parsed.  Otherwise a name is read
-    once, at the first level where it names an element.  Above that level,
-    or above bl, a target's id is carried along the validated embedding,
-    and ``_check_coherence`` checks that the carried id keeps the name.
+    The engine parses no name.  The targets' names are formatted once, at
+    bl.  Up to bl a target's id at each level is read along the validated
+    embeddings (``_targets_below``); above bl it is carried along them, and
+    ``_check_coherence`` checks that the carried id keeps the name.
     """
     if window < 1:
         raise TowerError(f"window must be >= 1, got {window}")
-    names = list(names)
     k0 = tower.k0
     # every level is built before any is embedded, so a level that fails to
     # build is reported ahead of an embedding fault below it
     levels = [tower.level(k) for k in range(k0, max_level + 1)]
-    below = {} if bl is None else _targets_below(tower, bl, names)
+    names = names_at(levels[bl - k0], ids)
+    below = _targets_below(tower, bl, ids, names)
     # |eta(names[j])| at each level from the first where names[j] is live;
     # its id is carried up from there, so it is live at every level above
     sizes = [[] for _ in names]
@@ -834,20 +831,14 @@ def _eta_engine(tower, names, max_level, window, member_cap, bl=None):
     lo = None
     for k, lvl in enumerate(levels, k0):
         emb = None if lo is None else tower.embed_ids(k - 1)
-        if k in below:
-            live, ids = below[k], np.arange(lvl.n, dtype=np.int64)
+        if k <= bl:
+            here = np.flatnonzero(below[k] >= 0)
+            live = below[k][here]
         else:
-            ids = np.full(len(names), -1, dtype=np.int64)
-            if lo is not None:
-                ids[lo.live] = emb[lo.ids]
-            unread = np.flatnonzero(ids < 0)
-            if unread.size:
-                ids[unread] = lvl.ids_of([names[j] for j in unread.tolist()])
-            live = np.flatnonzero(ids >= 0)
-            ids = ids[live]
-        hi = _LevelRoots(lvl, live, ids, *root_images(lvl, ids))
+            live, here = lo.live, emb[lo.ids]
+        hi = _LevelRoots(lvl, live, here, *root_images(lvl, here))
         if lo is not None:
-            _check_coherence(k - 1, emb, lo, hi, None if k in below else names)
+            _check_coherence(k - 1, emb, lo, hi, names if k > bl else None)
         lo = hi
         fmt = partial(names_at, lvl)
         for i in range(hi.ds.size):
@@ -883,14 +874,18 @@ def eta_stabilized(tower, name, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WIND
     """Level-wise eta for one element, with a stabilization certificate.
 
     A report that is not stabilized never claims non-membership of K, only
-    that eta kept changing within the examined levels.  Embeddings keep
-    names, so an unknown name is one the top level cannot read.
+    that eta kept changing within the examined levels.  The name is read at
+    its birth level, the first that holds it, and its id there is the
+    engine's one target.  A name that no level up to ``max_level`` holds is
+    unknown.
     """
     # build faults first; below k0, Tower.level says where the tower starts
     levels = [tower.level(k) for k in range(min(tower.k0, max_level), max_level + 1)]
-    if not levels[-1].has(name):
+    bl = tower.birth_level(name, max_level)
+    if bl is None:
         raise InvalidElementError(f"unknown element name {name!r} up to level {max_level}")
-    return _eta_engine(tower, [name], max_level, window, member_cap)[name]
+    ids = [levels[bl - tower.k0].id_of(name)]
+    return _eta_engine(tower, bl, ids, max_level, window, member_cap)[name]
 
 
 @dataclass
@@ -919,11 +914,9 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     that determined none confirms nothing, so it does not agree.
     """
     bl = min(max(birth_cap, tower.k0), max_level)
-    targets = list(tower.level(bl).names)
-    reports = _eta_engine(tower, targets, max_level, window, member_cap, bl)
+    reports = _eta_engine(tower, bl, np.arange(tower.level(bl).n), max_level, window, member_cap)
     members, growing, undetermined = [], [], []
-    for nm in targets:
-        rep = reports[nm]
+    for nm, rep in reports.items():
         if rep.stabilized:
             members.append(nm)
             continue
@@ -936,7 +929,7 @@ def k_estimate(tower, max_level=DEFAULT_MAX_LEVEL, window=DEFAULT_WINDOW,
     agrees = None
     theory_list = None
     if theory is not None:
-        theory_list = sorted(theory & set(targets))
+        theory_list = sorted(theory & set(reports))
         agrees = bool(members or growing) and set(members) == set(theory_list) - set(undetermined)
     return KReport(tower.kind, max_level, window, bl,
                    sorted(members), sorted(growing), sorted(undetermined),

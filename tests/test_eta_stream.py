@@ -93,8 +93,8 @@ def test_a_target_born_late_joins_the_stream():
                                             ("quot", 8), ("t2", 7)])
 def test_a_name_is_read_only_up_to_its_birth_level(name, max_level, monkeypatch):
     """k-estimate reads its targets by id and parses no name.  eta reads its
-    one name at each level up to the one where it is born; above that its
-    id is carried along the embedding and its name is not read again."""
+    one name at each level up to the one where it is born, to find that
+    level, and once more there for its id; the engine then parses no name."""
     tower = TOWERS[name]
     targets = list(tower.level(min(max(4, tower.k0), max_level)).names)
     births = {nm: tower.birth_level(nm, max_level) for nm in targets}
@@ -111,11 +111,11 @@ def test_a_name_is_read_only_up_to_its_birth_level(name, max_level, monkeypatch)
     monkeypatch.setattr(towers.Level, "ids_of", counted)
     k_estimate(tower, max_level=max_level, window=2)
     assert reads == Counter()
-    # eta's engine, on the first name born at each level
+    # eta, on the first name born at each level
     for nm in {births[nm]: nm for nm in reversed(targets)}.values():
         reads.clear()
-        towers._eta_engine(tower, [nm], max_level, 2, 128)
-        assert reads == {nm: births[nm] - tower.k0 + 1}, nm
+        eta_stabilized(tower, nm, max_level, 2)
+        assert reads == {nm: births[nm] - tower.k0 + 2}, nm
 
 
 # ---------------------------------------------------------------------------

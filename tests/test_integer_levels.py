@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from rootsets.towers import (
     T1Tower,
     T2Tower,
     TowerError,
+    eta_stabilized,
     example_t2_tower,
     k_estimate,
 )
@@ -325,6 +327,29 @@ def test_an_image_moved_by_an_automorphism_below_the_birth_level_is_refused(name
         k_estimate(tower, max_level=bl + 1, birth_cap=bl)
 
 
+def test_an_eta_target_moved_onto_below_its_birth_level_is_refused(monkeypatch):
+    """eta reads its name once, at its birth level, and reads the target
+    below it along the embeddings, as k-estimate does.  The outer
+    automorphism x c^m -> x c^(m + 1) of quaternion level 4, composed into
+    emb_3, moves the image of x.0 onto x.1/16, which is born at level 4;
+    x.0 is born at level 2 and is not named x.1/16.  (A Prüfer level cannot
+    host this case: its index-p image is characteristic.)"""
+    tower = QuaternionTower()
+    ck = tower.c_part_count(4)
+    true = tower.embed_vec
+
+    def forged(j, ids):
+        out = true(j, ids)
+        return np.where(out >= ck, ck + (out + 1) % ck, out) if j == 3 else out
+
+    monkeypatch.setattr(tower, "embed_vec", forged)
+    tower.embed_ids(3)  # passes: injective, and a homomorphism
+    assert tower.birth_level("x.1/16", 5) == 4
+    with pytest.raises(CoherenceError, match="^eta at level 2 disagrees "
+                                             "with its restriction from level 4$"):
+        eta_stabilized(tower, "x.1/16", max_level=5)
+
+
 def test_an_image_out_of_range_is_refused(monkeypatch):
     tower = PruferTower(2)
     monkeypatch.setattr(tower, "embed_vec", lambda k, ids: ids * 2 - 1)
@@ -336,23 +361,32 @@ def test_an_image_out_of_range_is_refused(monkeypatch):
 # no level builds a name dict, and reports keep their bytes
 
 
-def _load_bench_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_no_tower_eta_job_builds_a_level_name_dict(no_level_dicts):
+def test_no_tower_eta_job_builds_a_level_name_dict(no_level_dicts, monkeypatch):
+    """Every job of the full tower-eta pool exits 0 with no level name
+    dict, and its body has the digest the benchmark holds it to."""
     import random
 
-    jobs = _load_bench_inputs().tower_eta(None, SPECS, random.Random(0), full=True)
+    inputs = _load_bench_module("inputs")
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "inputs", inputs)  # oracle.py imports its sibling
+        oracle = _load_bench_module("oracle")
+    digests = oracle.load_digests()
+    jobs = inputs.tower_eta(None, SPECS, random.Random(0), full=True)
     assert {j["command"] for j in jobs} == {"k-estimate", "eta"}
     for job in jobs:
         path = Path(job["spec"])
         spec = parse_spec(path.read_text(encoding="utf-8"), path.parent)
         report, code = run_command(job["command"], spec, dict(job["flags"]), base_dir=path.parent)
         assert code == 0, (job["id"], report)
+        assert oracle.body_digest(report) == digests[job["key"]], job["key"]
 
 
 REDUCE_T2 = json.loads((ROOT / "tests" / "data" / "reduce_t2_reports.json").read_text(

@@ -188,6 +188,18 @@ def call_sites(source, name):
     return found
 
 
+def test_the_eta_engine_parses_no_name():
+    """The tower eta engine takes its targets as ids of one level, for
+    ``eta`` and ``k-estimate`` alike: neither ``towers._eta_engine`` nor
+    ``towers._targets_below`` calls a name reader, so no target is read by
+    name inside the engine."""
+    source = (PACKAGE / "towers.py").read_text(encoding="utf-8")
+    calls = [f"{site}: {name}" for name in ("ids_of", "lookup", "id_of", "has")
+             for site in call_sites(source, name)]
+    assert calls and [c for c in calls
+                      if c.startswith(("_eta_engine", "_targets_below"))] == []
+
+
 def test_tower_coordinates_are_stated_once():
     """Every tower kind but the quotient is on the ids r p^k + m, named
     "prefix + m/p^k": fractions are formatted and read in ``src/rootsets/``
