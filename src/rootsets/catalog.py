@@ -3,43 +3,47 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .constructions import heisenberg
-from .kernel import FiniteGroupTable, direct_product
+from .kernel import FiniteGroupTable, build_table, direct_product, table_order
 from .towers import QuaternionTower
 
 
 def cyclic(n, *, label=None):
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    table = build_table(n, lambda a, b: (a + b) % n)
     return FiniteGroupTable(table, [str(i) for i in range(n)], label=label or f"Z{n}")
 
 
 def dihedral(n):
     """Dihedral group of order 2n: rotations r0..r{n-1}, reflections s0..s{n-1}."""
-    order = 2 * n
-    table = np.empty((order, order), dtype=np.int64)
-    for e1, r1 in itertools.product(range(2), range(n)):
-        for e2, r2 in itertools.product(range(2), range(n)):
-            e = e1 ^ e2
-            r = ((r1 if e2 == 0 else -r1) + r2) % n
-            table[e1 * n + r1, e2 * n + r2] = e * n + r
+    def product(a, b):
+        (e1, r1), (e2, r2) = np.divmod(a, n), np.divmod(b, n)
+        return (e1 ^ e2) * n + (np.where(e2 == 0, r1, -r1) + r2) % n
+
+    table = build_table(2 * n, product)
     names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
     return FiniteGroupTable(table, names, label=f"D{n}")
 
 
 def symmetric(n):
-    """Symmetric group on {0..n-1}; element names are one-line images."""
-    perms = sorted(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = pos[tuple(p[q[k]] for k in range(n))]
-    names = ["".join(map(str, p)) for p in perms]
+    """Symmetric group on {0..n-1}; element names are one-line images.
+
+    Permutations are listed in lexicographic order, which is the order of
+    their images read as base-n numbers; a product p q (q first, p(q(k)))
+    is found among them by that number."""
+    table_order(math.factorial(n))
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.int64)
+    weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = perms @ weight
+
+    def product(a, b):
+        return np.searchsorted(keys, perms[a[:, 0]][:, perms[b]] @ weight)
+
+    table = build_table(len(perms), product)
+    names = ["".join(map(str, p)) for p in perms.tolist()]
     return FiniteGroupTable(table, names, label=f"S{n}")
 
 
@@ -49,8 +53,7 @@ def generalized_quaternion(order):
         raise ValueError(f"generalized quaternion groups have order 2^k >= 8, got {order}")
     # level k of the quaternion tower is Q_(2^(k+1)), its id e n + m the element x^e c^m
     n = order // 2
-    idx = np.arange(order)
-    table = QuaternionTower().level(n.bit_length() - 1).mul_vec(idx[:, None], idx)
+    table = build_table(table_order(order), QuaternionTower().level(n.bit_length() - 1).mul_vec)
     names = [f"c{m}" for m in range(n)] + [f"xc{m}" for m in range(n)]
     return FiniteGroupTable(table, names, label=f"Q{order}")
 

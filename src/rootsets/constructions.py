@@ -13,6 +13,7 @@ from .kernel import (
     FiniteGroupTable,
     GroupError,
     OracleGroup,
+    build_table,
     center,
     centralizer,
     commutator,
@@ -22,6 +23,7 @@ from .kernel import (
     is_prime,
     order_profile,
     quotient,
+    table_order,
 )
 from .eta import eta
 from .report import CheckReport, Report
@@ -49,12 +51,10 @@ def heisenberg(p):
         raise GroupError("no nonabelian group of order 8 has exponent 2")
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    idx = np.arange(p ** 3)
+    idx = np.arange(table_order(p ** 3))
     A, B, C = idx // (p * p), (idx // p) % p, idx % p
-    a = (A[:, None] + A[None, :]) % p
-    b = (B[:, None] + B[None, :]) % p
-    c = (C[:, None] + C[None, :] + A[:, None] * B[None, :]) % p
-    table = a * p * p + b * p + c
+    table = build_table(idx.size, lambda x, _: (A[x] + A) % p * (p * p) + (B[x] + B) % p * p
+                        + (C[x] + C + A[x] * B) % p)
     if p <= 9:
         names = [f"{x}{y}{z}" for x, y, z in zip(A, B, C)]
     else:
@@ -100,10 +100,11 @@ class CocycleTable:
         if w[0].any() or w[:, 0].any():
             bad = int(np.nonzero(w[0])[0][0]) if w[0].any() else int(np.nonzero(w[:, 0])[0][0])
             raise CocycleError("cocycle is not normalized", witness=base.names[bad])
-        tab = base.table
+        tab = base.table  # int32, so gathers through it are ``take``s
         for z in base.generators:
-            yz = tab[:, z]  # w[xy, z] + w[x, y] - w[x, yz] - w[y, z], indexed (x, y)
-            wit = first_witness(n, n, lambda x: (w[tab[x], z] + w[x] - w[x, yz] - w[:, z]) % p != 0)
+            yz, wz = tab[:, z], w[:, z]  # w[xy, z] + w[x, y] - w[x, yz] - w[y, z], indexed (x, y)
+            wit = first_witness(n, n, lambda x: (wz.take(tab[x]) + w[x] - w[x].take(yz, axis=1)
+                                                 - wz) % p != 0)
             if wit is not None:
                 raise CocycleError(
                     "cocycle identity fails",
@@ -120,14 +121,10 @@ def central_extension(c):
     Order is p * |B|; the fiber {(identity, t)} is central of order p (checked).
     """
     B, p = c.base, c.p
+    b, t = np.divmod(np.arange(table_order(B.order * p)), p)
     w = c.matrix()
-    n = B.order
-    bt = B.table
-    idx = np.arange(n * p)
-    b, t = idx // p, idx % p
-    table = bt[b[:, None], b[None, :]] * p \
-        + (t[:, None] + t[None, :] + w[b[:, None], b[None, :]]) % p
-    names = [f"({B.names[i // p]},{i % p})" for i in range(n * p)]
+    table = build_table(b.size, lambda x, _: B.table[b[x], b] * p + (t[x] + t + w[b[x], b]) % p)
+    names = [f"({B.names[i // p]},{i % p})" for i in range(b.size)]
     G = FiniteGroupTable(table, names, label=f"ext-{B.label}" if B.label else "extension")
     if centralizer(G, np.arange(p)).size != G.order:
         raise CocycleError("extension fiber is not central")

@@ -3,9 +3,10 @@
 Element 0 is always the identity.  Tables are validated on construction:
 identity row/column, Latin square, uniqueness of names, and associativity.
 Associativity and homomorphism laws are checked exactly, by generators.
-Table files are read in chunks straight into one int64 array, in blocks of
-rows, plain ASCII rows as bytes and any other row as ``int()`` reads it, and
-written a block at a time from a lookup of index strings (format below).
+A table is held as one int32 array, built a block of rows at a time.
+Table files are read in chunks straight into it, in blocks of rows, plain
+ASCII rows as bytes and any other row as ``int()`` reads it, and written a
+block at a time from a lookup of index strings (format below).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 
 # table checks take rows in blocks of this many entries: no n x n temporaries
 BLOCK_ENTRIES = 1 << 16
+
+# a table's entries, ids in [0, n), are int32, so its order n must fit there too
+TABLE_ORDER_MAX = 2 ** 31 - 1
 
 
 class GroupError(Exception):
@@ -255,8 +259,7 @@ class OracleGroup:
     def group(self):
         """Materialize the group as a validated Cayley table."""
         if self._group is None:
-            idx = np.arange(self.n, dtype=np.int64)
-            self._group = FiniteGroupTable(self.mul_vec(idx[:, None], idx), self.names,
+            self._group = FiniteGroupTable(build_table(self.n, self.mul_vec), self.names,
                                            label=self.label)
         return self._group
 
@@ -267,10 +270,19 @@ class OracleGroup:
 
 class FiniteGroupTable(OracleGroup):
     """A finite group as an identity-indexed Cayley table with named elements:
-    the OracleGroup whose ``mul_vec`` and ``inv_vec`` are gathers."""
+    the OracleGroup whose ``mul_vec`` and ``inv_vec`` are gathers.
+
+    ``table`` is held as an int32 array; an int32 input is kept as it is,
+    never written, and any other is read as int64 and narrowed once its
+    entries have passed the range check.  Ids are int64 everywhere else:
+    ``mul_vec`` and ``inv_vec`` return int64 arrays.
+    """
 
     def __init__(self, table, names=None, *, label=""):
-        tab = np.asarray(table, dtype=np.int64)
+        if isinstance(table, np.ndarray) and table.dtype == np.int32:
+            tab = table
+        else:
+            tab = np.asarray(table, dtype=np.int64)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
             raise TableFormatError("table must be a square matrix")
         n = tab.shape[0]
@@ -293,29 +305,32 @@ class FiniteGroupTable(OracleGroup):
         """Check the table: entries in range, identity row and column, Latin
         square, then associativity by Light's test on a generating set.
 
+        An int64 table is narrowed to int32 once its entries are known to
+        lie in [0, n), so the narrowing is exact.
+
         The Latin check sorts each ``first_witness`` block of rows, then of
         columns, and compares it with 0 .. n - 1, so the first row, and then
         the first column, that is not a permutation is the one reported.  A
-        block is sorted as a C-contiguous int32 copy: the entries passed the
-        range check, so they lie in [0, n) and the narrowing is exact, and a
-        column block is read row by row from the table before it is
-        transposed, so no sort runs over strided memory.
+        block is sorted as a C-contiguous copy, never in the table: a column
+        block is copied row by row from the table before it is transposed,
+        so no sort runs over strided memory.
         """
         n = self.order
         tab = self.table
         if tab.min() < 0 or tab.max() >= n:
             raise TableFormatError("table entries out of range")
-        idx = np.arange(n)
+        if tab.dtype != np.int32:
+            self.table = tab = tab.astype(np.int32)
+        idx = np.arange(n, dtype=np.int32)
         if not np.array_equal(tab[0], idx):
             raise TableFormatError("row 0 does not act as identity")
         if not np.array_equal(tab[:, 0], idx):
             raise TableFormatError("column 0 does not act as identity")
-        idx32 = idx.astype(np.int32)
         for what, lines in (("row", tab), ("column", tab.T)):
             def unsorted(block):
-                part = np.ascontiguousarray(lines[block].astype(np.int32))
+                part = np.ascontiguousarray(lines[block].copy(order="K"))
                 part.sort(axis=1)
-                return part != idx32
+                return part != idx
 
             if (wit := first_witness(n, n, unsorted)) is not None:
                 raise TableFormatError(f"{what} {wit[0]} is not a permutation")
@@ -331,7 +346,7 @@ class FiniteGroupTable(OracleGroup):
         self.meta["associativity"] = "full"
 
     def mul_vec(self, a, b):
-        return self.table[a, b]
+        return self.table[a, b].astype(np.int64)
 
     def inv_vec(self, a):
         return self._inv[a]
@@ -525,6 +540,34 @@ def cyclic_subgroup(G, g):
 
 # ---------------------------------------------------------------------------
 # operations, over any group with ``mul_vec`` and ``inv_vec``
+
+def table_order(n):
+    """``n``, the order of a Cayley table about to be built, once it is
+    known to lie in 1 .. TABLE_ORDER_MAX; every table builder asks here
+    first, so an order whose ids int32 cannot hold is refused before any
+    n-sized array is made."""
+    if n > TABLE_ORDER_MAX:
+        raise GroupError(f"group order {n} is above {TABLE_ORDER_MAX}, "
+                         "the largest order of a Cayley table")
+    if n < 1:
+        raise TableFormatError("group order must be at least 1")
+    return n
+
+
+def build_table(n, product):
+    """The n x n int32 Cayley table with entry ``product(a, b)`` at (a, b),
+    filled a ``_row_blocks`` block at a time: ``a`` holds a block's row ids
+    as an int64 column, ``b`` every id, so no n x n int64 array is made.
+    An order numpy cannot allocate is a MemoryError."""
+    try:
+        table = np.empty((table_order(n), n), dtype=np.int32)
+    except ValueError:  # more bytes than numpy can address
+        raise MemoryError(f"cannot allocate a Cayley table of order {n}") from None
+    b = np.arange(n, dtype=np.int64)
+    for rows in _row_blocks(n, n):
+        table[rows] = product(b[rows, None], b)
+    return table
+
 
 def _row_step(cols, entries=BLOCK_ENTRIES):
     """The number of rows in a ``_row_blocks`` block of a ... x cols array."""
@@ -806,9 +849,10 @@ def _reindexed(G, old, gens):
 
 
 def direct_product(G, H):
+    """G x H on the ids g nh + h, its table built from G's and H's tables."""
     ng, nh = G.order, H.order
-    table = np.kron(G.table, np.ones((nh, nh), dtype=np.int64)) * nh \
-        + np.tile(H.table, (ng, ng))
+    g, h = np.divmod(np.arange(table_order(ng * nh)), nh)
+    table = build_table(ng * nh, lambda a, _: G.table[g[a], g] * nh + H.table[h[a], h])
     names = [f"{a}|{b}" for a in G.names for b in H.names]
     label = f"{G.label}x{H.label}" if G.label and H.label else ""
     return FiniteGroupTable(table, names, label=label)
@@ -880,7 +924,7 @@ def prime_factors(n):
 # UTF-8 text.  Line 1: order n.  Line 2: n whitespace-separated element names.
 # Then n rows of n indices, row-major table[i][j] = i*j.  Lines starting with
 # '#' are comments.  Entries are decimal integers in 0..n-1, read as int()
-# reads them; one that does not fit in int64 is reported as out of range.
+# reads them; one that does not fit in int32 is reported as out of range.
 
 # table text is parsed in chunks of about this many bytes (characters, for a str)
 CHUNK_BYTES = 1 << 18
@@ -943,8 +987,9 @@ def loads_table(text, *, label=""):
     number of names, the first bad row, then the table checks.  The text is
     read once, so rows are read before the lines are all counted: the first
     bad row ends the reading of rows and is raised only after the count and
-    the names have passed.  The n x n array is allocated as the rows begin,
-    and a MemoryError there waits the same way.
+    the names have passed.  The n x n int32 array is allocated as the rows
+    begin, and a MemoryError there, or an order above TABLE_ORDER_MAX,
+    waits the same way.
 
     Table rows are read in blocks of about BLOCK_ENTRIES >> 2 entries.  A
     block whose lines hold only ASCII digits, spaces and tabs, with no run of
@@ -954,10 +999,13 @@ def loads_table(text, *, label=""):
     The two agree exactly.  On a line made only of ASCII digits, spaces and
     tabs, ``str.split()`` yields exactly the maximal runs of digits, and
     ``int()`` reads such a run as its decimal value, leading zeros included;
-    a run of at most 18 digits fits in int64, so nothing is clamped.  Blocks
-    are read in order, and each has passed completely before the next is
-    read.  A plain block holds no non-integer token, so its first row with a
-    wrong number of entries is the first error the per-token reader reports.
+    a run of at most 18 digits fits in int64, so it is read exactly.  The
+    int32 table then gets the same verdict from both: a block summed in
+    int64 is clipped to [-1, n], and a token beyond int32 is clamped to that
+    range, so a value out of range stays out of range.  Blocks are read in
+    order, and each has passed completely before the next is read.  A plain
+    block holds no non-integer token, so its first row with a wrong number
+    of entries is the first error the per-token reader reports.
     """
     return _parse_table(_text_chunks(text), len(text), label)
 
@@ -990,8 +1038,9 @@ def _parse_table(chunks, size, label):
     # row check and is read into one reused row, not an n x n array
     if count == 2 and 1 <= n <= size:
         try:
-            tab = np.empty((n if n * n <= size else 1, n), dtype=np.int64)
-        except (MemoryError, ValueError) as exc:  # ValueError: too big for numpy
+            table_order(n)
+            tab = np.empty((n if n * n <= size else 1, n), dtype=np.int32)
+        except (GroupError, MemoryError, ValueError) as exc:  # ValueError: too big for numpy
             fault = exc
         step = _row_step(n, BLOCK_ENTRIES >> 2)
         for start in range(0, n, step) if fault is None else ():
@@ -1004,8 +1053,8 @@ def _parse_table(chunks, size, label):
                 values = _plain_rows(block, start, n)
                 if values is None:
                     _int_rows(tab, block, start, n)
-                elif len(tab) == n:
-                    tab[rows] = values
+                elif len(tab) == n:  # an int64 value, clipped, stays out of range
+                    tab[rows] = values if values.dtype == np.int32 else values.clip(-1, n)
             except TableFormatError as exc:
                 fault = exc
                 break
@@ -1034,8 +1083,10 @@ def _plain_rows(lines, first, n):
     Each token's value is summed digit by digit from its last byte, in
     int32 when no run is longer than 9 digits and in int64 otherwise, so
     every partial sum is below 10**9 or 10**18 and nothing wraps.  The
-    caller stores the values into its int64 table, which widens them
-    exactly; the table's range check then sees the values as read."""
+    caller stores int32 values into its int32 table as they are, and clips
+    int64 values to [-1, n] first, so a value out of range stays out of
+    range and never wraps into it; the table's range check then fails on a
+    row as it would on the values as read."""
     # a non-ASCII character, or a lone surrogate, becomes '?' and cannot raise
     b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), dtype=np.uint8)
     d = b - np.uint8(48)  # a digit's value; every other byte wraps past 9
@@ -1079,7 +1130,7 @@ def _int_rows(tab, lines, first, n):
         try:
             try:
                 tab[dest] = row  # numpy reads each token with int()
-            except OverflowError:  # beyond int64; clamped, it stays out of range
+            except OverflowError:  # beyond int32; clamped, it stays out of range
                 tab[dest] = [min(max(int(x), -1), n) for x in row]
         except ValueError:
             raise TableFormatError(f"non-integer entry in row {i}") from None
@@ -1102,8 +1153,8 @@ def table_blocks(G):
     ended = np.array([f"{i}\n" for i in range(n)], dtype=f"S{width}")
     yield f"{n}\n{' '.join(G.names)}\n"
     for rows in _row_blocks(n, n):
-        block = spaced[G.table[rows]]
-        block[:, -1] = ended[G.table[rows, -1]]
+        block = spaced.take(G.table[rows])  # take, as an int32 fancy index is slower
+        block[:, -1] = ended.take(G.table[rows, -1])
         yield decode_utf8(block.tobytes().translate(None, b"\0"))
 
 

@@ -120,11 +120,16 @@ def _t2_alpha(alpha):
     ({"kind": "prufer_tower", "p": True}, "spec.p: expected a prime (got True)"),
     ({"kind": "tree_vw", "depth": True}, "spec.depth: expected depth 1..4 (got True)"),
     ({**T2, "m": True}, "spec.m: expected an integer >= 1 (got True)"),
+    ({"kind": "cyclic", "n": 2 ** 62},
+     f"group order {2 ** 62} is above 2147483647, the largest order of a Cayley table"),
+    ({"kind": "heisenberg", "p": 2 ** 61 - 1},
+     f"group order {(2 ** 61 - 1) ** 3} is above 2147483647, the largest order of a Cayley table"),
 ], ids=["alpha-not-pair", "alpha-bad-fraction", "alpha-zero-denominator",
         "alpha-unknown-target", "alpha-prufer-without-0", "alpha-prufer-offset-not-expressible",
         "alpha-prufer-target-not-a-rep", "w-ragged", "w-non-integer",
         "w-bool", "w-float",
-        "n-bool", "p-bool", "depth-bool", "m-bool"])
+        "n-bool", "p-bool", "depth-bool", "m-bool", "cyclic-order-above-int32",
+        "heisenberg-order-above-int32"])
 def test_malformed_field_exits_one(doc, message, tmp_path, capsys):
     report, code = run(["eta", write(tmp_path, doc), "--element", "0",
                         "--max-level", "5"], capsys)

@@ -325,6 +325,46 @@ class TestByteReader:
         assert outcome(loads_table, text) == reference_outcome(text) == (
             TableFormatError, expected)
 
+    # values beyond int32, as functions of the entry v they replace: the
+    # table is int32, and narrowed unchecked, 2^32 + v would read as v
+    WIDE = {"2^31": lambda v: 2 ** 31, "2^32+1": lambda v: 2 ** 32 + 1,
+            "-2^32": lambda v: -2 ** 32, "2^32+v": lambda v: 2 ** 32 + v,
+            "v-2^32": lambda v: v - 2 ** 32, "14-digits": lambda v: 10 ** 13 + v,
+            "19-digits": lambda v: 10 ** 18 + v, "20-digits": lambda v: 2 ** 64 + v}
+
+    @pytest.mark.parametrize("cell", [(81, 0), (161, 199)])  # a block's first and last cell
+    @pytest.mark.parametrize("reader", ["plain", "per-token"])
+    @pytest.mark.parametrize("wide", sorted(WIDE))
+    def test_a_value_beyond_int32_never_wraps_into_range(self, wide, reader, cell, monkeypatch):
+        row, col = cell
+        assert kernel._row_blocks(200, 200, kernel.BLOCK_ENTRIES >> 2)[1] == slice(81, 162)
+        lines = table_lines(200)
+        entries = lines[2 + row].split()
+        value = str(self.WIDE[wide](int(entries[col])))
+        entries[col] = value
+        if reader == "per-token":  # a '+' elsewhere in the row sends its block to _int_rows
+            other = 1 if col == 0 else col - 1
+            entries[other] = "+" + entries[other]
+        text = with_rows(lines, {row: " ".join(entries)})
+        plain = []
+
+        def spy(block, first, n, read=kernel._plain_rows):
+            values = read(block, first, n)
+            if first == 81:
+                plain.append(values is not None)
+            return values
+
+        monkeypatch.setattr(kernel, "_plain_rows", spy)
+        assert outcome(loads_table, text) == reference_outcome(text) == (
+            TableFormatError, "table entries out of range")
+        assert plain == [reader == "plain" and value.isdigit() and len(value) <= 18]
+
+    def test_an_int64_entry_that_would_wrap_onto_its_value_is_refused(self):
+        T = cyclic(4).table.astype(np.int64)
+        T[2, 3] += 2 ** 32  # 2^32 + 1, whose low 32 bits are the right entry 1
+        with pytest.raises(TableFormatError, match="^table entries out of range$"):
+            FiniteGroupTable(T)
+
     @pytest.mark.parametrize("spelling", [("15 ", "+15 "), ("15 ", "1_5 "), ("15 ", "1\u0665 "),
                                           ("15 ", "015\x1f"), ("15 ", "15\xa0"),
                                           ("15 ", "#5 ")])

@@ -244,7 +244,7 @@ def test_a_failed_allocation_waits_for_the_line_count(tmp_path, monkeypatch):
 # memory
 
 def test_q1024_file_loads_in_the_array_plus_one_block(tmp_path):
-    """Loading holds the n x n int64 array and about one chunk besides: no
+    """Loading holds the n x n int32 array and about one chunk besides: no
     whole text and no list of lines (the whole-text reader peaked at 16.9 MB)."""
     G = generalized_quaternion(1024)
     path = tmp_path / "q1024.tbl"
