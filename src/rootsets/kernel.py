@@ -992,20 +992,13 @@ def loads_table(text, *, label=""):
     waits the same way.
 
     Table rows are read in blocks of about BLOCK_ENTRIES >> 2 entries.  A
-    block whose lines hold only ASCII digits, spaces and tabs, with no run of
-    more than 18 digits, is read as bytes (``_plain_rows``); any other block
-    goes through ``_int_rows``, which reads each token as ``int()`` reads it.
-
-    The two agree exactly.  On a line made only of ASCII digits, spaces and
-    tabs, ``str.split()`` yields exactly the maximal runs of digits, and
-    ``int()`` reads such a run as its decimal value, leading zeros included;
-    a run of at most 18 digits fits in int64, so it is read exactly.  The
-    int32 table then gets the same verdict from both: a block summed in
-    int64 is clipped to [-1, n], and a token beyond int32 is clamped to that
-    range, so a value out of range stays out of range.  Blocks are read in
-    order, and each has passed completely before the next is read.  A plain
-    block holds no non-integer token, so its first row with a wrong number
-    of entries is the first error the per-token reader reports.
+    block whose every line holds exactly n runs of at most 9 ASCII digits,
+    separated by spaces and tabs, is read as bytes (``_plain_rows``): on such
+    a line ``str.split()`` yields exactly those runs, and ``int()`` reads
+    each as its decimal value, leading zeros included.  Any other block goes
+    through ``_int_rows``, which reads each token as ``int()`` reads it,
+    clamps a value beyond int32 to [-1, n], and raises the block's first
+    bad row.
     """
     return _parse_table(_text_chunks(text), len(text), label)
 
@@ -1050,11 +1043,11 @@ def _parse_table(chunks, size, label):
             if len(block) < rows.stop - start:
                 break  # the count fails
             try:
-                values = _plain_rows(block, start, n)
+                values = _plain_rows(block, n)
                 if values is None:
                     _int_rows(tab, block, start, n)
-                elif len(tab) == n:  # an int64 value, clipped, stays out of range
-                    tab[rows] = values if values.dtype == np.int32 else values.clip(-1, n)
+                elif len(tab) == n:
+                    tab[rows] = values
             except TableFormatError as exc:
                 fault = exc
                 break
@@ -1071,22 +1064,16 @@ def _parse_table(chunks, size, label):
     return FiniteGroupTable(tab, names, label=label)
 
 
-_DIGIT_MAX = 18  # 10**18 - 1 < 2**63 - 1: every run of at most 18 digits fits in int64
-_DIGIT_MAX_32 = 9  # 10**9 - 1 < 2**31 - 1: every run of at most 9 digits fits in int32
+_DIGIT_MAX = 9  # 10**9 - 1 < 2**31 - 1: every run of at most 9 digits fits in int32
 
 
-def _plain_rows(lines, first, n):
-    """The rows ``lines`` (``first`` the index of the first) as an array of
-    shape (len(lines), n), read as bytes, or None when a line holds anything
-    but ASCII digits, spaces and tabs, or a run of more than 18 digits.
+def _plain_rows(lines, n):
+    """The rows ``lines`` as an int32 array of shape (len(lines), n), read as
+    bytes, or None unless every line holds exactly n runs of at most 9 ASCII
+    digits, separated by spaces and tabs.
 
     Each token's value is summed digit by digit from its last byte, in
-    int32 when no run is longer than 9 digits and in int64 otherwise, so
-    every partial sum is below 10**9 or 10**18 and nothing wraps.  The
-    caller stores int32 values into its int32 table as they are, and clips
-    int64 values to [-1, n] first, so a value out of range stays out of
-    range and never wraps into it; the table's range check then fails on a
-    row as it would on the values as read."""
+    int32; every partial sum is below 10**9, so nothing wraps."""
     # a non-ASCII character, or a lone surrogate, becomes '?' and cannot raise
     b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), dtype=np.uint8)
     d = b - np.uint8(48)  # a digit's value; every other byte wraps past 9
@@ -1099,23 +1086,18 @@ def _plain_rows(lines, first, n):
     starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
     width = ends - starts
     longest = int(width.max(initial=0))
-    if longest > _DIGIT_MAX:
-        return None
     breaks = np.cumsum([len(ln) + 1 for ln in lines]) - 1  # the newline after each line
     counts = np.diff(np.searchsorted(starts, breaks), prepend=0)
-    bad = np.flatnonzero(counts != n)
-    if bad.size:
-        i = int(bad[0])
-        raise TableFormatError(f"row {first + i} has {counts[i]} entries, expected {n}")
-    acc = np.int32 if longest <= _DIGIT_MAX_32 else np.int64
+    if longest > _DIGIT_MAX or (counts != n).any():
+        return None
     at = ends - 1  # each token's 10**k digit, for k = 0, 1, ...
-    values = d.take(at).astype(acc)
+    values = d.take(at).astype(np.int32)
     width = width.astype(np.uint8)
     for k in range(1, longest):
         at -= 1
         digits = d.take(at)
         digits *= width > k  # 0 where the token has no 10**k digit
-        values += digits * acc(10 ** k)
+        values += digits * np.int32(10 ** k)
     return values.reshape(len(lines), n)
 
 

@@ -49,6 +49,8 @@ DEFAULT_MEMBER_CAP = 128
 # up; levels grow geometrically, so a deep search would build huge levels
 # just to report a typo
 GENERATOR_SEARCH_DEPTH = 8
+# the largest level order whose int64 id array numpy can address
+LEVEL_ORDER_MAX = np.iinfo(np.intp).max // 8
 
 
 class TowerError(GroupError):
@@ -195,10 +197,18 @@ class Tower:
         return self.p ** k
 
     def level(self, k):
+        """Level k, built once.  A level of more than LEVEL_ORDER_MAX elements
+        is refused here, before any array of its size is made: a kind's
+        ``_build_level`` makes arrays only of its base tower's level k,
+        which was checked as it was built."""
         if k < self.k0:
             raise TowerError(f"{self.kind} tower starts at level {self.k0}, got {k}")
         if k not in self._levels:
-            self._levels[k] = self._build_level(k)
+            lvl = self._build_level(k)
+            if lvl.n > LEVEL_ORDER_MAX:
+                raise TowerError(f"{self.kind} tower level {k} has order {lvl.n}, above "
+                                 f"{LEVEL_ORDER_MAX}, the largest order of a tower level")
+            self._levels[k] = lvl
         return self._levels[k]
 
     def embed_ids(self, k):

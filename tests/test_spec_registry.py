@@ -4,6 +4,7 @@ commands' handling of inputs they cannot compute on."""
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,42 @@ def test_malformed_field_exits_one(doc, message, tmp_path, capsys):
                         "--max-level", "5"], capsys)
     assert code == 1
     assert any(message in e for e in report["errors"]), report["errors"]
+
+
+M61 = 2 ** 61 - 1  # prime: its first level alone is above LEVEL_ORDER_MAX = 2^60 - 1
+BIG_PRUFER = {"kind": "prufer_tower", "p": M61}
+BIG_T1 = {"kind": "t1_tower", "p": M61, "a_gen": "0", "H": {"kind": "cyclic", "n": 1}}
+
+
+def level_error(kind, k, n):
+    return (f"{kind} tower level {k} has order {n}, above {2 ** 60 - 1}, "
+            "the largest order of a tower level")
+
+
+@pytest.mark.parametrize("doc, argv, error", [
+    (BIG_PRUFER, ["k-estimate"],  # level(bl) is built first, bl the birth cap
+     level_error("prufer", DEFAULT_BIRTH_CAP, M61 ** DEFAULT_BIRTH_CAP)),
+    (BIG_PRUFER, ["k-estimate", "--max-level", "1"], level_error("prufer", 1, M61)),
+    (BIG_PRUFER, ["eta", "--element", f"1/{M61}", "--max-level", "1"],
+     level_error("prufer", 1, M61)),
+    (BIG_T1, ["k-estimate", "--max-level", "1"], level_error("t1", 1, M61)),
+    ({"kind": "prufer_tower", "p": 2}, ["k-estimate", "--max-level", "64"],
+     level_error("prufer", 60, 2 ** 60)),
+    ({"kind": "prufer_tower", "p": 2}, ["eta", "--element", "1/2", "--max-level", "64"],
+     level_error("prufer", 60, 2 ** 60)),
+], ids=["prufer-k-estimate", "prufer-k-estimate-level-1", "prufer-eta-level-1",
+        "t1-k-estimate-level-1", "prufer-2-k-estimate-level-64", "prufer-2-eta-level-64"])
+def test_a_level_numpy_cannot_index_exits_one(doc, argv, error, tmp_path, capsys):
+    """A level is refused as it is built, before any array of its size exists."""
+    path = write(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        report, code = run(argv[:1] + [path] + argv[1:], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report["errors"]) == (1, [error])
+    assert peak < 4 * 2 ** 20  # a first run's caches; the least level refused is 2^63 bytes
 
 
 def int64_error(field, value):

@@ -287,6 +287,15 @@ PIECES = st.one_of(
 ROW_TEXT = st.lists(PIECES, min_size=1, max_size=14).map("".join)
 
 
+@pytest.fixture()
+def int_rows_calls(monkeypatch):
+    """A list that gets one entry per call of ``kernel._int_rows``."""
+    calls = []
+    monkeypatch.setattr(kernel, "_int_rows",
+                        lambda *args, real=kernel._int_rows: calls.append(1) or real(*args))
+    return calls
+
+
 class TestByteReader:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(
@@ -348,16 +357,16 @@ class TestByteReader:
         text = with_rows(lines, {row: " ".join(entries)})
         plain = []
 
-        def spy(block, first, n, read=kernel._plain_rows):
-            values = read(block, first, n)
-            if first == 81:
-                plain.append(values is not None)
+        def spy(block, n, read=kernel._plain_rows):
+            values = read(block, n)
+            plain.append(values is not None)
             return values
 
         monkeypatch.setattr(kernel, "_plain_rows", spy)
         assert outcome(loads_table, text) == reference_outcome(text) == (
             TableFormatError, "table entries out of range")
-        assert plain == [reader == "plain" and value.isdigit() and len(value) <= 18]
+        # blocks 0 and 2 are plain; block 1 (rows 81 .. 161) holds the wide value
+        assert plain == [True, reader == "plain" and value.isdigit() and len(value) <= 9, True]
 
     def test_an_int64_entry_that_would_wrap_onto_its_value_is_refused(self):
         T = cyclic(4).table.astype(np.int64)
@@ -393,8 +402,8 @@ class TestByteReader:
         assert np.array_equal(loads_table(tabs).table, q1024.table)
 
     @pytest.mark.parametrize("tokens", [
-        ["999999999", "0", "1", "2"],                    # 9 digits: int32
-        ["1000000000", "0", "1", "2"],                   # 10 digits: int64
+        ["999999999", "0", "1", "2"],                    # 9 digits: read as bytes
+        ["1000000000", "0", "1", "2"],                   # 10 digits: token by token
         ["0000000003", "2", "000000001", "0"],           # leading zeros on both sides of 9
         ["2147483647", "2147483648", "4294967296", "3"],  # the int32 and uint32 edges
         ["999999999", "1", "1000000000", "99999999999"],
@@ -403,8 +412,11 @@ class TestByteReader:
         lines = [" ".join(tokens), "3 0 1 2", "\t".join(reversed(tokens))]
         expected = np.zeros((3, 4), dtype=np.int64)
         kernel._int_rows(expected, lines, 0, 4)
-        got = kernel._plain_rows(lines, 0, 4)
-        assert got is not None and np.array_equal(got, expected)
+        got = kernel._plain_rows(lines, 4)
+        if max(map(len, tokens)) > 9:  # a 10-digit run leaves the block to _int_rows
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, expected)
         assert expected[0].tolist() == [int(x) for x in tokens]
 
     @pytest.mark.parametrize("digits", [9, 10])
@@ -418,11 +430,22 @@ class TestByteReader:
         assert outcome(loads_table, big) == reference_outcome(big) == (
             TableFormatError, "table entries out of range")
 
-    def test_runs_of_18_digits_are_plain_and_19_are_not(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(kernel, "_int_rows",
-                            lambda *args, real=kernel._int_rows: calls.append(1) or real(*args))
-        plain = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 16 + "02")
-        assert loads_table(plain).order == 4 and not calls
-        long = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 17 + "02")
-        assert outcome(loads_table, long) == outcome(reference_loads_table, long) and calls
+    def test_runs_of_9_digits_are_plain_and_10_are_not(self, int_rows_calls):
+        plain = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 7 + "02")
+        assert loads_table(plain).order == 4 and not int_rows_calls
+        long = Z4.replace("3 0 1 2", "3 0 1 " + "0" * 8 + "02")
+        assert outcome(loads_table, long) == outcome(reference_loads_table, long) and int_rows_calls
+
+    def test_a_plain_block_with_a_ragged_row_is_read_token_by_token(self, int_rows_calls):
+        lines = table_lines(200)
+        text = with_rows(lines, {100: lines[2 + 100].rsplit(maxsplit=1)[0]})
+        assert outcome(loads_table, text) == reference_outcome(text) == (
+            TableFormatError, "row 100 has 199 entries, expected 200")
+        assert int_rows_calls == [1]  # block 1 alone; block 0 was plain and block 2 never read
+
+    @pytest.mark.parametrize("token", ["0000000003", "2147483648"])
+    def test_a_plain_block_with_a_10_digit_run_is_read_token_by_token(self, token,
+                                                                    int_rows_calls):
+        text = Z4.replace("2 3 0 1", f"2 {token} 0 1")
+        assert outcome(loads_table, text) == reference_outcome(text)
+        assert int_rows_calls == [1]
